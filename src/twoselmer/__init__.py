@@ -1,15 +1,13 @@
 """2-Selmer ranks of quadratic twists of elliptic curves with full rational 2-torsion."""
 
 from .curve import FullTwoTorsionModel, LongModel, sigma_set, twist
-from .padic import Place, REAL_PLACE, LocalSquareClass, LocalCocycle
+from .padic import Place, REAL_PLACE
 from .selmer import SelmerSpec, SelmerResult, selmer_group
 from .twist_lab import parity_check, rank_of_twist, scan
 
 __all__ = [
     "FullTwoTorsionModel",
     "LongModel",
-    "LocalCocycle",
-    "LocalSquareClass",
     "Place",
     "REAL_PLACE",
     "SelmerResult",

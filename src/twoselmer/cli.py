@@ -17,7 +17,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import twist_lab
+from . import gf2, twist_lab
 from .curve import (
     FullTwoTorsionModel,
     parse_curve,
@@ -26,15 +26,7 @@ from .curve import (
 )
 from .errors import BudgetExceeded
 from .local_descent import h_v, kummer_image
-from .padic import (
-    LocalSquareClass,
-    Place,
-    REAL_PLACE,
-    local_class,
-    local_pairing,
-    parse_place,
-    trivial_class,
-)
+from .padic import Place, local_class, local_pairing, parse_place
 from .selmer import SelmerSpec, duality_check, selmer_group
 from .twist_lab import scan_records, summarize, twist_spec
 from .zarith import is_prime, is_squarefree
@@ -51,17 +43,38 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _parse_mask(text: str) -> tuple[Place, LocalSquareClass]:
+def _record_line(rec: twist_lab.TwistRecord) -> str:
+    """One records.jsonl line; ``_parse_record`` reads it back."""
+    doc = {
+        "d": rec.d,
+        "rank": rec.rank,
+        "parity_lhs": rec.parity_lhs,
+        "parity_rhs": rec.parity_rhs,
+        "sigma_prime": rec.sigma_prime_size,
+        "ms": rec.ms,
+        "schema_version": SCHEMA_VERSION,
+    }
+    return _dump(doc) + "\n"
+
+
+def _parse_record(line: str) -> twist_lab.TwistRecord:
+    doc = json.loads(line)
+    return twist_lab.TwistRecord(
+        doc["d"], doc["rank"], doc["parity_lhs"], doc["parity_rhs"], doc["sigma_prime"], doc["ms"]
+    )
+
+
+def _parse_mask(text: str) -> tuple[Place, int]:
     place_text, _, value = text.partition("=")
     if not value:
         raise ValueError(f"mask must look like place=value, got {text!r}")
     place = parse_place(place_text)
     if value == "trivial":
-        return place, trivial_class(place)
+        return place, 0
     if value == "sign":
         if not place.is_infinite:
             raise ValueError("'sign' only makes sense at inf")
-        return place, LocalSquareClass(REAL_PLACE, (1,))
+        return place, 1
     return place, local_class(Fraction(value), place)
 
 
@@ -96,45 +109,24 @@ def cmd_scan(args) -> int:
     summary_path = os.path.join(out_dir, "summary.json")
 
     done_through = 0
-    kept_lines: list[str] = []
+    records: list[twist_lab.TwistRecord] = []
     if args.resume and os.path.exists(records_path):
         with open(records_path) as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln]
-        if lines:
-            last_abs = abs(json.loads(lines[-1])["d"])
+            records = [_parse_record(ln) for ln in fh.read().splitlines() if ln]
+        if records:
+            last_abs = abs(records[-1].d)
             # recompute the in-flight block: drop records at the last |d|
-            kept_lines = [ln for ln in lines if abs(json.loads(ln)["d"]) < last_abs]
+            records = [rec for rec in records if abs(rec.d) < last_abs]
             done_through = last_abs - 1
 
-    records = []
     with open(records_path, "w") as fh:
-        for ln in kept_lines:
-            fh.write(ln + "\n")
-            rec = json.loads(ln)
-            records.append(
-                twist_lab.TwistRecord(
-                    rec["d"], rec["rank"], rec["parity_lhs"], rec["parity_rhs"],
-                    rec["sigma_prime"], rec["ms"],
-                )
-            )
+        for rec in records:
+            fh.write(_record_line(rec))
         for rec in scan_records(model, args.bound, timing=args.timing):
             if abs(rec.d) <= done_through:
                 continue
             records.append(rec)
-            fh.write(
-                _dump(
-                    {
-                        "d": rec.d,
-                        "rank": rec.rank,
-                        "parity_lhs": rec.parity_lhs,
-                        "parity_rhs": rec.parity_rhs,
-                        "sigma_prime": rec.sigma_prime_size,
-                        "ms": rec.ms,
-                        "schema_version": SCHEMA_VERSION,
-                    }
-                )
-                + "\n"
-            )
+            fh.write(_record_line(rec))
             fh.flush()
     summary = summarize(model, args.bound, records)
     doc = dataclasses.asdict(summary)
@@ -154,15 +146,16 @@ def _random_squarefree(rng: random.Random, bound: int) -> int:
             return d
 
 
-def _random_class(rng: random.Random, place: Place) -> LocalSquareClass:
-    return LocalSquareClass(place, tuple(rng.randint(0, 1) for _ in range(place.width)))
+def _random_class(rng: random.Random, place: Place) -> int:
+    c = 0
+    for i in range(place.width):
+        c |= rng.randint(0, 1) << i
+    return c
 
 
 def _random_good_prime(rng: random.Random, model: FullTwoTorsionModel) -> int:
     bad = {v.p for v in sigma_set(model).places if v.p is not None}
-    while True:
-        q = rng.choice([p for p in range(3, 200) if is_prime(p) and p not in bad])
-        return q
+    return rng.choice([p for p in range(3, 200) if is_prime(p) and p not in bad])
 
 
 def run_verify_suite(model: FullTwoTorsionModel, suite: str, trials: int, seed: int) -> dict:
@@ -187,19 +180,19 @@ def run_verify_suite(model: FullTwoTorsionModel, suite: str, trials: int, seed: 
             cls = _random_class(rng, v)
             img = kummer_image(model, cls, v)
             iso = all(
-                local_pairing(a, b) == 0 for a in img.basis for b in img.basis
+                local_pairing(v, a, b) == 0 for a in img.basis for b in img.basis
             )
             ok = iso and img.dim * 2 == 2 * v.width
-            detail = {"place": str(v), "class": list(cls.bits), "dim": img.dim}
+            bits = [(cls >> i) & 1 for i in range(v.width)]
+            detail = {"place": str(v), "class": bits, "dim": img.dim}
         elif suite == "ramhv":
             q = _random_good_prime(rng, model)
             place = Place(q)
-            cls = LocalSquareClass(place, (1, rng.randint(0, 1)))
+            cls = 1 | rng.randint(0, 1) << 1
             h = h_v(model, cls, place)
-            from . import gf2
-            a1 = kummer_image(model, trivial_class(place), place)
+            a1 = kummer_image(model, 0, place)
             ax = kummer_image(model, cls, place)
-            inter = gf2.intersect(a1.bit_rows(), ax.bit_rows(), 2 * place.width)
+            inter = gf2.intersect(a1.basis, ax.basis, 2 * place.width)
             ok = h == 2 and not inter
             detail = {"q": q, "h": h, "intersection_dim": len(inter)}
         elif suite == "babo":
@@ -207,7 +200,7 @@ def run_verify_suite(model: FullTwoTorsionModel, suite: str, trials: int, seed: 
             c1, c2 = _random_class(rng, q), _random_class(rng, q)
             r1 = selmer_group(SelmerSpec(model, {q: c1})).dim
             r2 = selmer_group(SelmerSpec(model, {q: c2})).dim
-            cap = kummer_image(model, trivial_class(q), q).dim
+            cap = kummer_image(model, 0, q).dim
             ok = abs(r1 - r2) <= cap
             detail = {"place": str(q), "r1": r1, "r2": r2, "cap": cap}
         else:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm
 
 from .padic import Place, REAL_PLACE, local_class
 from .zarith import factorize, is_prime, is_squarefree, legendre
@@ -105,8 +106,6 @@ def twist(model: FullTwoTorsionModel, d: int) -> FullTwoTorsionModel:
 
 def _rational_roots_of_cubic(c2: Fraction, c1: Fraction, c0: Fraction) -> list[Fraction]:
     """Distinct rational roots of x^3 + c2 x^2 + c1 x + c0."""
-    from math import lcm
-
     den = lcm(c2.denominator, c1.denominator, c0.denominator)
     # integer polynomial a3 X^3 + a2 X^2 + a1 X + a0 with X = x
     a3, a2, a1, a0 = den, c2 * den, c1 * den, c0 * den
@@ -142,8 +141,6 @@ def _rational_roots_of_cubic(c2: Fraction, c1: Fraction, c0: Fraction) -> list[F
 
 
 def _isqrt_exact(n: int) -> int | None:
-    from math import isqrt
-
     s = isqrt(n)
     return s if s * s == n else None
 
@@ -165,25 +162,10 @@ def full_model_from_long(m: LongModel) -> FullTwoTorsionModel | None:
     roots = _rational_roots_of_cubic(*m.two_division_cubic())
     if len(roots) != 3:
         return None
-    den = 1
-    for r in roots:
-        den = den * r.denominator // _gcd(den, r.denominator)
+    den = lcm(*(r.denominator for r in roots))
     # x -> u^2 x with u^2 = den^2 keeps the curve isomorphic and roots integral
     u2 = den * den
     return FullTwoTorsionModel(tuple(sorted(int(r * u2) for r in roots)))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def place_class(model: FullTwoTorsionModel, q: int) -> int:
-    """dim_F2 E(Q_q)[2] at a good prime q; always 2 for these models."""
-    if Place(q) in sigma_set(model).places:
-        raise ValueError(f"{q} is a bad place for this model")
-    return 2
 
 
 def four_torsion_rational_at(model: FullTwoTorsionModel, q: int) -> bool:
@@ -229,7 +211,7 @@ def require_full_model(parsed: FullTwoTorsionModel | LongModel) -> FullTwoTorsio
     return full
 
 
-def local_twist_classes(model: FullTwoTorsionModel, d: int) -> dict[Place, "object"]:
+def local_twist_classes(model: FullTwoTorsionModel, d: int) -> dict[Place, int]:
     """Nontrivial local classes of a squarefree twist d at Sigma and at p | d."""
     places = list(sigma_set(model).places)
     sigma_primes = {v.p for v in places}
@@ -239,6 +221,6 @@ def local_twist_classes(model: FullTwoTorsionModel, d: int) -> dict[Place, "obje
     out = {}
     for v in places:
         cls = local_class(d, v)
-        if not cls.is_trivial:
+        if cls:
             out[v] = cls
     return out

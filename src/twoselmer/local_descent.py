@@ -16,14 +16,7 @@ from typing import Iterator
 from . import gf2
 from .curve import FullTwoTorsionModel
 from .errors import SamplingBudgetExceeded
-from .padic import (
-    LocalCocycle,
-    LocalSquareClass,
-    Place,
-    local_class,
-    nonresidue,
-    trivial_class,
-)
+from .padic import Place, local_class, nonresidue, representative
 
 DEFAULT_SAMPLING_BUDGET = 10**5
 
@@ -33,37 +26,18 @@ class LocalImage:
     """F2-subspace alpha_v of the local cocycle space, with a certified basis."""
 
     place: Place
-    basis: tuple[LocalCocycle, ...]
+    basis: tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def bit_rows(self) -> list[int]:
-        return [c.as_int() for c in self.basis]
 
-    def contains(self, c: LocalCocycle) -> bool:
-        return gf2.in_span(c.as_int(), self.bit_rows())
-
-
-def expected_local_dim(
-    model: FullTwoTorsionModel, d_class: LocalSquareClass, place: Place
-) -> int:
-    """dim E'(Q_v)/2E'(Q_v) for any quadratic twist of a full 2-torsion model."""
-    del model, d_class  # full rational 2-torsion survives every twist
-    if place.is_infinite:
-        return 1
-    return 3 if place.p == 2 else 2
-
-
-def _torsion_cocycles(roots: tuple[int, int, int], place: Place) -> list[LocalCocycle]:
+def _torsion_cocycles(roots: tuple[int, int, int], place: Place) -> list[int]:
     r1, r2, r3 = roots
-    t1 = LocalCocycle(
-        local_class((r1 - r2) * (r1 - r3), place), local_class(r1 - r2, place)
-    )
-    t2 = LocalCocycle(
-        local_class(r2 - r1, place), local_class((r2 - r1) * (r2 - r3), place)
-    )
+    k = place.width
+    t1 = local_class((r1 - r2) * (r1 - r3), place) | local_class(r1 - r2, place) << k
+    t2 = local_class(r2 - r1, place) | local_class((r2 - r1) * (r2 - r3), place) << k
     return [t1, t2]
 
 
@@ -108,37 +82,30 @@ _image_cache: dict[tuple, LocalImage] = {}
 
 def kummer_image(
     model: FullTwoTorsionModel,
-    d_class: LocalSquareClass,
+    d_class: int,
     place: Place,
     budget: int = DEFAULT_SAMPLING_BUDGET,
-    multiplied_coordinates: bool = False,
 ) -> LocalImage:
-    """alpha_v for the local twist by d_class, in the ambient E[2] coordinates.
-
-    ``multiplied_coordinates`` switches to the (wrong) identification that
-    multiplies both cocycle coordinates by the twist class; it exists only
-    so the test suites can demonstrate that convention fails.
-    """
-    if d_class.place != place:
-        raise ValueError("class/place mismatch")
-    key = (model.roots, place, d_class.bits, multiplied_coordinates)
+    """alpha_v for the local twist by d_class, in the ambient E[2] coordinates."""
+    if not 0 <= d_class < 1 << place.width:
+        raise ValueError(f"class {d_class} out of range at {place}")
+    key = (model.roots, place, d_class)
     cached = _image_cache.get(key)
     if cached is not None:
         return cached
 
     # Order matters: root i of the twist corresponds to root i of the base
     # model under the canonical E[2] identification (e_i, 0) <-> (d e_i, 0).
-    rep = d_class.representative()
+    rep = representative(place, d_class)
     roots = tuple(rep * e for e in model.roots)
-    target = expected_local_dim(model, d_class, place)
+    # dim E'(Q_v)/2E'(Q_v) = width: full rational 2-torsion survives every twist
+    target = place.width
 
     span = gf2.Span()
-    basis: list[LocalCocycle] = []
+    basis: list[int] = []
 
-    def push(c: LocalCocycle) -> None:
-        if multiplied_coordinates and not c.is_trivial:
-            c = LocalCocycle(c.first + d_class, c.second + d_class)
-        if span.add(c.as_int()):
+    def push(c: int) -> None:
+        if span.add(c):
             basis.append(c)
 
     for t in _torsion_cocycles(roots, place):
@@ -152,16 +119,16 @@ def kummer_image(
         for x in _sample_x(place, roots):
             if remaining <= 0:
                 raise SamplingBudgetExceeded(
-                    f"kummer image at {place} for class {d_class.bits} stuck at "
+                    f"kummer image at {place} for class {d_class} stuck at "
                     f"dim {span.dim} < {target}"
                 )
             remaining -= 1
             if x == roots[0] or x == roots[1] or x == roots[2]:
                 continue
             f = (x - roots[0]) * (x - roots[1]) * (x - roots[2])
-            if not local_class(f, place).is_trivial:
+            if local_class(f, place):
                 continue
-            push(LocalCocycle(local_class(x - r1, place), local_class(x - r2, place)))
+            push(local_class(x - r1, place) | local_class(x - r2, place) << place.width)
             if span.dim == target:
                 break
         else:  # pragma: no cover - the sampler streams are infinite at finite places
@@ -172,15 +139,13 @@ def kummer_image(
     return image
 
 
-def h_v(
-    model: FullTwoTorsionModel, d_class: LocalSquareClass, place: Place
-) -> int:
+def h_v(model: FullTwoTorsionModel, d_class: int, place: Place) -> int:
     """Kramer's local norm index: dim alpha_v(1) - dim(alpha_v(1) ∩ alpha_v(chi))."""
-    if d_class.is_trivial:
+    if not d_class:
         return 0
-    a1 = kummer_image(model, trivial_class(place), place)
+    a1 = kummer_image(model, 0, place)
     ax = kummer_image(model, d_class, place)
-    inter = gf2.intersect(a1.bit_rows(), ax.bit_rows(), 2 * place.width)
+    inter = gf2.intersect(a1.basis, ax.basis, 2 * place.width)
     return a1.dim - len(inter)
 
 

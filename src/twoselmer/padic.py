@@ -1,10 +1,17 @@
 """Local fields Q_v: square classes, Hilbert symbols and the local pairing.
 
-Square classes are exact bit vectors: 1 bit at the real place (sign),
-2 bits at an odd prime (valuation parity, unit non-residue bit), 3 bits
-at 2 (valuation parity, unit mod 8 on the generators -1 and 5).  Classes
-of global rationals are computed from valuations and residues; no p-adic
-precision is ever involved.
+A square class in Q_v^x / (Q_v^x)^2 is a plain int of ``place.width``
+bits, 0 being the trivial class and XOR the group law:
+
+- real place: bit 0 is the sign;
+- odd prime p: bit 0 is the valuation parity, bit 1 is set when the unit
+  part is a non-residue mod p;
+- p = 2: bit 0 is the valuation parity, bits 1 and 2 give the unit mod 8
+  on the generators -1 and 5.
+
+A local cocycle in H^1(Q_v, E[2]) (split E[2]) is a pair of classes packed
+as ``first | second << place.width``.  Classes of global rationals are
+computed from valuations and residues; no p-adic precision is ever involved.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from functools import lru_cache
 
 from .zarith import is_prime, legendre, unit_part, valuation
 
-# unit mod 8 -> (bit on -1, bit on 5)
-_MOD8_BITS = {1: (0, 0), 3: (1, 1), 5: (0, 1), 7: (1, 0)}
+# unit mod 8 -> bit 1 (on -1) and bit 2 (on 5)
+_MOD8_BITS = {1: 0b000, 3: 0b110, 5: 0b100, 7: 0b010}
 
 
 @dataclass(frozen=True, order=True)
@@ -61,59 +68,6 @@ def parse_place(text: str) -> Place:
     return finite_place(int(text))
 
 
-@dataclass(frozen=True)
-class LocalSquareClass:
-    """Element of Q_v^x / (Q_v^x)^2 in fixed bit coordinates."""
-
-    place: Place
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.bits) != self.place.width:
-            raise ValueError(f"bit length {len(self.bits)} wrong for place {self.place}")
-
-    @property
-    def is_trivial(self) -> bool:
-        return not any(self.bits)
-
-    @property
-    def is_ramified(self) -> bool:
-        """Nontrivial on local units (at the real place: nontrivial at all)."""
-        if self.place.is_infinite:
-            return bool(self.bits[0])
-        return any(self.bits[1:])
-
-    def __add__(self, other: "LocalSquareClass") -> "LocalSquareClass":
-        if other.place != self.place:
-            raise ValueError("places differ")
-        return LocalSquareClass(self.place, tuple(a ^ b for a, b in zip(self.bits, other.bits)))
-
-    def as_int(self) -> int:
-        v = 0
-        for i, b in enumerate(self.bits):
-            v |= b << i
-        return v
-
-    def representative(self) -> int:
-        """A squarefree integer lying in this class at the place."""
-        p = self.place.p
-        if p is None:
-            return -1 if self.bits[0] else 1
-        if p == 2:
-            v, s_neg, s_five = self.bits
-            return (2 if v else 1) * (-1 if s_neg else 1) * (5 if s_five else 1)
-        v, s = self.bits
-        return (p if v else 1) * (nonresidue(p) if s else 1)
-
-
-def trivial_class(place: Place) -> LocalSquareClass:
-    return LocalSquareClass(place, (0,) * place.width)
-
-
-def class_from_int(place: Place, bits_int: int) -> LocalSquareClass:
-    return LocalSquareClass(place, tuple((bits_int >> i) & 1 for i in range(place.width)))
-
-
 @lru_cache(maxsize=None)
 def nonresidue(p: int) -> int:
     """Smallest positive quadratic non-residue mod an odd prime."""
@@ -123,92 +77,48 @@ def nonresidue(p: int) -> int:
     return a
 
 
-def local_class(r: Fraction | int, place: Place) -> LocalSquareClass:
+def local_class(r: Fraction | int, place: Place) -> int:
     """Image of a nonzero rational in Q_v^x / (Q_v^x)^2."""
     if r == 0:
         raise ValueError("0 has no square class")
     p = place.p
     if p is None:
-        return LocalSquareClass(place, (1 if r < 0 else 0,))
+        return 1 if r < 0 else 0
     v = valuation(r, p)
     u = unit_part(r, p)
     if p == 2:
         m = u.numerator * pow(u.denominator, -1, 8) % 8
-        s_neg, s_five = _MOD8_BITS[m]
-        return LocalSquareClass(place, (v & 1, s_neg, s_five))
-    s = 0 if legendre(u, p) == 1 else 1
-    return LocalSquareClass(place, (v & 1, s))
+        return (v & 1) | _MOD8_BITS[m]
+    return (v & 1) | (0 if legendre(u, p) == 1 else 2)
 
 
-def is_local_square(r: Fraction | int, place: Place) -> bool:
-    return local_class(r, place).is_trivial
-
-
-@dataclass(frozen=True)
-class LocalCocycle:
-    """Element of H^1(Q_v, E[2]) for split E[2]: a pair of square classes."""
-
-    first: LocalSquareClass
-    second: LocalSquareClass
-
-    def __post_init__(self) -> None:
-        if self.first.place != self.second.place:
-            raise ValueError("components at different places")
-
-    @property
-    def place(self) -> Place:
-        return self.first.place
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.first.is_trivial and self.second.is_trivial
-
-    def __add__(self, other: "LocalCocycle") -> "LocalCocycle":
-        return LocalCocycle(self.first + other.first, self.second + other.second)
-
-    def as_int(self) -> int:
-        k = self.place.width
-        return self.first.as_int() | (self.second.as_int() << k)
-
-
-def cocycle_from_int(place: Place, bits_int: int) -> LocalCocycle:
-    k = place.width
-    return LocalCocycle(
-        class_from_int(place, bits_int & ((1 << k) - 1)),
-        class_from_int(place, bits_int >> k),
-    )
-
-
-def cocycle_space_dim(place: Place) -> int:
-    return 2 * place.width
-
-
-def hilbert(a: LocalSquareClass, b: LocalSquareClass) -> int:
-    """Hilbert symbol (a,b)_v: +1 iff z^2 = a x^2 + b y^2 has a Q_v-point."""
-    if a.place != b.place:
-        raise ValueError("places differ")
-    p = a.place.p
+def representative(place: Place, c: int) -> int:
+    """A squarefree integer lying in the class c at the place."""
+    p = place.p
     if p is None:
-        return -1 if a.bits[0] and b.bits[0] else 1
+        return -1 if c else 1
+    n = p if c & 1 else 1
     if p == 2:
-        av, aneg, afive = a.bits
-        bv, bneg, bfive = b.bits
+        return n * (-1 if c & 2 else 1) * (5 if c & 4 else 1)
+    return n * (nonresidue(p) if c & 2 else 1)
+
+
+def hilbert(place: Place, a: int, b: int) -> int:
+    """Hilbert symbol (a,b)_v: +1 iff z^2 = a x^2 + b y^2 has a Q_v-point."""
+    p = place.p
+    if p is None:
+        e = a & b
+    elif p == 2:
         # epsilon(u) = (u-1)/2 is the -1 bit, omega(u) = (u^2-1)/8 is the 5 bit
-        e = (aneg & bneg) ^ (av & bfive) ^ (bv & afive)
-        return -1 if e else 1
-    av, asym = a.bits
-    bv, bsym = b.bits
-    e = (av & bv & ((p - 1) // 2)) ^ (bv & asym) ^ (av & bsym)
+        e = ((a >> 1) & (b >> 1)) ^ (a & (b >> 2)) ^ (b & (a >> 2))
+    else:
+        e = (a & b & ((p - 1) // 2)) ^ (b & (a >> 1)) ^ (a & (b >> 1))
     return -1 if e & 1 else 1
 
 
-def hilbert_rational(a: Fraction | int, b: Fraction | int, place: Place) -> int:
-    return hilbert(local_class(a, place), local_class(b, place))
-
-
-def local_pairing(x: LocalCocycle, y: LocalCocycle) -> int:
-    """Tate local duality pairing in coordinates, additive in F2."""
-    if x.place != y.place:
-        raise ValueError("places differ")
-    h = hilbert(x.first, y.second) * hilbert(x.second, y.first)
+def local_pairing(place: Place, x: int, y: int) -> int:
+    """Tate local duality pairing of two cocycles in coordinates, additive in F2."""
+    k = place.width
+    low = (1 << k) - 1
+    h = hilbert(place, x & low, y >> k) * hilbert(place, x >> k, y & low)
     return 0 if h == 1 else 1

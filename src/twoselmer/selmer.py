@@ -15,14 +15,7 @@ from . import gf2
 from .curve import FullTwoTorsionModel, sigma_set
 from .errors import SearchBudgetExceeded, SoundnessAlarm
 from .local_descent import kummer_image, h_v
-from .padic import (
-    LocalCocycle,
-    LocalSquareClass,
-    Place,
-    local_class,
-    local_pairing,
-    trivial_class,
-)
+from .padic import Place, local_class, local_pairing
 from .zarith import is_prime, legendre
 
 DEFAULT_PRIME_BUDGET = 10**6
@@ -76,7 +69,7 @@ class GlobalSquareClass:
     def value(self) -> int:
         return self.basis.value(self.bits)
 
-    def local(self, place: Place) -> LocalSquareClass:
+    def local(self, place: Place) -> int:
         return local_class(self.value, place)
 
 
@@ -85,7 +78,7 @@ class SelmerSpec:
     """A Selmer group computation: model, local twist masks, strict/relaxed places."""
 
     model: FullTwoTorsionModel
-    masks: dict[Place, LocalSquareClass] = field(default_factory=dict)
+    masks: dict[Place, int] = field(default_factory=dict)
     strict: frozenset[Place] = frozenset()
     relaxed: frozenset[Place] = frozenset()
 
@@ -108,7 +101,9 @@ class SelmerResult:
         return {
             "curve": str(model),
             "sigma_prime": [str(v) for v in self.sigma_prime],
-            "masks": {str(v): list(c.bits) for v, c in (masks or {}).items()},
+            "masks": {
+                str(v): [(c >> i) & 1 for i in range(v.width)] for v, c in (masks or {}).items()
+            },
             "dim": self.dim,
             "basis": [[a, b] for a, b in self.basis_values()],
         }
@@ -136,14 +131,12 @@ def selmer_group(spec: SelmerSpec, verify: bool = False) -> SelmerResult:
         if v in spec.relaxed:
             continue
         k = v.width
-        loc = [local_class(g, v).as_int() for g in basis.generators]
+        loc = [local_class(g, v) for g in basis.generators]
         if v in spec.strict:
             checks = [1 << j for j in range(2 * k)]
-            image_rows: list[int] = []
+            image_rows: tuple[int, ...] = ()
         else:
-            mask_cls = spec.masks.get(v, trivial_class(v))
-            image = kummer_image(spec.model, mask_cls, v)
-            image_rows = image.bit_rows()
+            image_rows = kummer_image(spec.model, spec.masks.get(v, 0), v).basis
             checks = gf2.annihilator(image_rows, 2 * k)
         res_of_gen = [loc[j] for j in range(m)] + [loc[j] << k for j in range(m)]
         for h in checks:
@@ -172,7 +165,7 @@ def selmer_group(spec: SelmerSpec, verify: bool = False) -> SelmerResult:
 def _verify_pointwise(spec, result: SelmerResult, conditions) -> None:
     for a, b in result.basis:
         for v, image_rows in conditions:
-            c = LocalCocycle(a.local(v), b.local(v)).as_int()
+            c = restriction((a, b), v)
             if v in spec.strict:
                 ok = c == 0
             else:
@@ -183,26 +176,34 @@ def _verify_pointwise(spec, result: SelmerResult, conditions) -> None:
                 )
 
 
-def restriction(pair: tuple[GlobalSquareClass, GlobalSquareClass], place: Place) -> LocalCocycle:
+def restriction(pair: tuple[GlobalSquareClass, GlobalSquareClass], place: Place) -> int:
+    """The local cocycle of a global pair at a place."""
     a, b = pair
-    return LocalCocycle(a.local(place), b.local(place))
+    return a.local(place) | b.local(place) << place.width
+
+
+def _strict_and_relaxed(spec: SelmerSpec, T: frozenset[Place]) -> tuple[SelmerSpec, SelmerSpec]:
+    if set(T) & set(spec.masks):
+        raise ValueError("T must be disjoint from mask places")
+    return (
+        SelmerSpec(spec.model, dict(spec.masks), spec.strict | T, spec.relaxed),
+        SelmerSpec(spec.model, dict(spec.masks), spec.strict, spec.relaxed | T),
+    )
 
 
 def strict_relaxed_dims(spec: SelmerSpec, T: frozenset[Place]) -> tuple[int, int]:
     """(dim Sel_{2,T}, dim Sel_2^T)."""
-    if set(T) & set(spec.masks):
-        raise ValueError("T must be disjoint from mask places")
-    strict_spec = SelmerSpec(spec.model, dict(spec.masks), spec.strict | T, spec.relaxed)
-    relaxed_spec = SelmerSpec(spec.model, dict(spec.masks), spec.strict, spec.relaxed | T)
+    strict_spec, relaxed_spec = _strict_and_relaxed(spec, T)
     return selmer_group(strict_spec).dim, selmer_group(relaxed_spec).dim
 
 
 def duality_check(spec: SelmerSpec, T: frozenset[Place]) -> tuple[bool, dict]:
     """Poitou-Tate: dimension identity over T plus direct cross-orthogonality."""
-    dim_strict, dim_relaxed = strict_relaxed_dims(spec, T)
-    expected = sum(
-        kummer_image(spec.model, spec.masks.get(v, trivial_class(v)), v).dim for v in T
-    )
+    strict_spec, relaxed_spec = _strict_and_relaxed(spec, T)
+    dim_strict = selmer_group(strict_spec).dim
+    relaxed = selmer_group(relaxed_spec)
+    dim_relaxed = relaxed.dim
+    expected = sum(kummer_image(spec.model, spec.masks.get(v, 0), v).dim for v in T)
     report = {
         "T": [str(v) for v in sorted(T, key=lambda v: v.sort_key())],
         "dim_strict": dim_strict,
@@ -212,15 +213,12 @@ def duality_check(spec: SelmerSpec, T: frozenset[Place]) -> tuple[bool, dict]:
         "orthogonal": True,
         "counterexample": None,
     }
-    relaxed = selmer_group(
-        SelmerSpec(spec.model, dict(spec.masks), spec.strict, spec.relaxed | T)
-    )
     plain = selmer_group(spec)
     for x in relaxed.basis:
         for y in plain.basis:
             s = 0
             for v in T:
-                s ^= local_pairing(restriction(x, v), restriction(y, v))
+                s ^= local_pairing(v, restriction(x, v), restriction(y, v))
             if s:
                 report["orthogonal"] = False
                 report["counterexample"] = {
@@ -277,7 +275,7 @@ def _find_frobenius_prime(
 
 def collapse_masks(
     spec: SelmerSpec, budget: int = DEFAULT_PRIME_BUDGET
-) -> list[tuple[int, LocalSquareClass]]:
+) -> list[tuple[int, int]]:
     """Ramified masks at k new primes that drop the Selmer dimension by 2k.
 
     Requires dim = n + k with 2 <= k <= n, n = |Sigma'|.  Directions are
@@ -318,7 +316,7 @@ def collapse_masks(
         raise SoundnessAlarm("selected coordinate maps are not jointly surjective")
 
     avoid = {g for g in basis.generators if g != -1}
-    out: list[tuple[int, LocalSquareClass]] = []
+    out: list[tuple[int, int]] = []
     for i in selected:
         w = _find_frobenius_prime(basis, i, avoid, budget)
         avoid.add(w)

@@ -22,7 +22,7 @@ from .curve import (
 )
 from .errors import SearchBudgetExceeded, SoundnessAlarm
 from .local_descent import h_v
-from .padic import LocalSquareClass, Place, REAL_PLACE, local_class, trivial_class
+from .padic import Place, REAL_PLACE, local_class
 from .selmer import SelmerSpec, selmer_group
 from .zarith import is_prime, is_squarefree, legendre
 
@@ -104,18 +104,17 @@ def _primes(start: int = 2) -> Iterator[int]:
 
 
 def _matches_prescription(
-    model: FullTwoTorsionModel, d: int, at_sigma: dict[Place, LocalSquareClass]
+    model: FullTwoTorsionModel, d: int, at_sigma: dict[Place, int]
 ) -> bool:
     for v in sigma_set(model).places:
-        want = at_sigma.get(v, trivial_class(v))
-        if local_class(d, v) != want:
+        if local_class(d, v) != at_sigma.get(v, 0):
             return False
     return True
 
 
 def character_candidates(
     model: FullTwoTorsionModel,
-    at_sigma: dict[Place, LocalSquareClass],
+    at_sigma: dict[Place, int],
     ramified: tuple[int, ...] = (),
     extra_prime: str | int = "auto",
     budget: int = DEFAULT_PRIME_BUDGET,
@@ -164,19 +163,6 @@ def character_candidates(
                 yield d
 
 
-def build_character(
-    model: FullTwoTorsionModel,
-    at_sigma: dict[Place, LocalSquareClass],
-    ramified: tuple[int, ...] = (),
-    extra_prime: str | int = "auto",
-    budget: int = DEFAULT_PRIME_BUDGET,
-) -> int:
-    """First squarefree d realizing the prescription (Chebotarev search)."""
-    for d in character_candidates(model, at_sigma, ramified, extra_prime, budget):
-        return d
-    raise SearchBudgetExceeded("no character found within budget")
-
-
 def find_inc2(model: FullTwoTorsionModel, budget: int = DEFAULT_PRIME_BUDGET) -> dict:
     """A prime twist raising the Selmer rank by exactly 2.
 
@@ -221,7 +207,7 @@ def find_inc2(model: FullTwoTorsionModel, budget: int = DEFAULT_PRIME_BUDGET) ->
 def find_plus_one(model: FullTwoTorsionModel, budget: int = DEFAULT_PRIME_BUDGET) -> dict:
     """A negative twist raising the Selmer rank by exactly 1 (real-place route)."""
     r_before = base_rank(model)
-    sign_mask = {REAL_PLACE: LocalSquareClass(REAL_PLACE, (1,))}
+    sign_mask = {REAL_PLACE: 1}
     masked = selmer_group(SelmerSpec(model, dict(sign_mask))).dim
     if masked != r_before - 1:
         raise SoundnessAlarm(
@@ -305,13 +291,12 @@ def multiplicative_h_check(model: FullTwoTorsionModel, v0: int) -> dict:
     from .zarith import valuation
 
     v_delta = valuation(model.discriminant, v0)
-    cls = LocalSquareClass(place, (0, 1))
-    h = h_v(model, cls, place)
+    h = h_v(model, 0b10, place)  # unramified: the non-residue unit class
     return {
         "v0": v0,
         "v_delta": v_delta,
         "h": h,
-        "h_trivial": h_v(model, trivial_class(place), place),
+        "h_trivial": h_v(model, 0, place),
         "even_branch_ok": v_delta % 2 == 0 and h == 1,
         "odd_branch": "unreachable for full 2-torsion models (v(Delta) is always even)",
     }

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import FactorizationBudgetExceeded
 
@@ -60,12 +61,6 @@ class FactoredInteger:
             n *= p**e
         return n
 
-    def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
 
 def _pollard_rho(n: int, budget: list[int]) -> int:
     """Brent's cycle variant with a deterministic constant schedule."""
@@ -82,16 +77,10 @@ def _pollard_rho(n: int, budget: list[int]) -> int:
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
-            d = _gcd(abs(x - y), n)
+            d = gcd(x - y, n)
         if d != n:
             return d
         c += 1
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def factorize(

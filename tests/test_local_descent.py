@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,24 +7,21 @@ from twoselmer import gf2
 from twoselmer.curve import FullTwoTorsionModel, sigma_set
 from twoselmer.errors import SamplingBudgetExceeded
 from twoselmer.local_descent import (
+    _sample_x,
+    _torsion_cocycles,
     clear_image_cache,
-    expected_local_dim,
     h_v,
     kummer_image,
 )
 from twoselmer.padic import (
     REAL_PLACE,
-    LocalSquareClass,
-    Place,
-    class_from_int,
-    cocycle_space_dim,
     finite_place,
     local_class,
     local_pairing,
-    trivial_class,
+    representative,
 )
 
-SIGN = LocalSquareClass(REAL_PLACE, (1,))
+SIGN = 1  # the nontrivial class at the real place
 
 
 def all_places():
@@ -31,64 +29,74 @@ def all_places():
 
 
 def test_expected_local_dim(m101):
-    assert expected_local_dim(m101, trivial_class(finite_place(5)), finite_place(5)) == 2
-    assert expected_local_dim(m101, trivial_class(REAL_PLACE), REAL_PLACE) == 1
-    assert expected_local_dim(m101, trivial_class(finite_place(2)), finite_place(2)) == 3
+    # dim E'(Q_v)/2E'(Q_v) is the class width for every twist of a full 2-torsion model
+    assert finite_place(5).width == 2
+    assert REAL_PLACE.width == 1
+    assert finite_place(2).width == 3
+    for place in (REAL_PLACE, finite_place(2), finite_place(5)):
+        for c in range(1 << place.width):
+            assert kummer_image(m101, c, place).dim == place.width
+
+
+def test_kummer_image_rejects_out_of_range_class(m101):
+    for place, c in ((REAL_PLACE, 2), (finite_place(5), 4), (finite_place(2), 8), (REAL_PLACE, -1)):
+        with pytest.raises(ValueError):
+            kummer_image(m101, c, place)
 
 
 def test_kummer_image_dims(m101):
-    assert kummer_image(m101, trivial_class(REAL_PLACE), REAL_PLACE).dim == 1
-    assert kummer_image(m101, trivial_class(finite_place(5)), finite_place(5)).dim == 2
-    assert kummer_image(m101, trivial_class(finite_place(2)), finite_place(2)).dim == 3
+    assert kummer_image(m101, 0, REAL_PLACE).dim == 1
+    assert kummer_image(m101, 0, finite_place(5)).dim == 2
+    assert kummer_image(m101, 0, finite_place(2)).dim == 3
 
 
 def test_kummer_image_odd_good_is_torsion_span(m101):
     # at a good odd prime with E[4] not fully rational the 2-torsion generates
     p = finite_place(5)
-    img = kummer_image(m101, trivial_class(p), p)
+    img = kummer_image(m101, 0, p)
     e1, e2, e3 = m101.roots
     t1 = ((e1 - e2) * (e1 - e3), e1 - e2)
     t2 = (e2 - e1, (e2 - e1) * (e2 - e3))
     for a, b in (t1, t2):
-        c = (local_class(a, p).as_int()) | (local_class(b, p).as_int() << p.width)
-        assert gf2.in_span(c, img.bit_rows())
+        c = local_class(a, p) | (local_class(b, p) << p.width)
+        assert gf2.in_span(c, img.basis)
 
 
 def test_isotropy_and_half_dimension(corpus):
     for m in corpus:
         for place in all_places():
-            for bits in range(1 << place.width):
-                img = kummer_image(m, class_from_int(place, bits), place)
-                assert 2 * img.dim == cocycle_space_dim(place)
+            for c in range(1 << place.width):
+                img = kummer_image(m, c, place)
+                assert 2 * img.dim == 2 * place.width
                 for a in img.basis:
                     for b in img.basis:
-                        assert local_pairing(a, b) == 0
+                        assert local_pairing(place, a, b) == 0
 
 
 def test_unramified_twist_stability(m101):
     # at q outside Sigma an unramified nontrivial class does not move the image
     for q in (3, 5, 7, 13):
         p = finite_place(q)
-        unram = LocalSquareClass(p, (0, 1))
-        a = kummer_image(m101, trivial_class(p), p)
+        unram = 0b10
+        a = kummer_image(m101, 0, p)
         b = kummer_image(m101, unram, p)
-        assert sorted(gf2.reduce_rows(a.bit_rows())) == sorted(gf2.reduce_rows(b.bit_rows()))
+        assert sorted(gf2.reduce_rows(a.basis)) == sorted(gf2.reduce_rows(b.basis))
 
 
 def test_good_reduction_image_is_unramified(m101):
     # both components have even valuation: the valuation bits vanish
     for q in (3, 5, 7):
         p = finite_place(q)
-        img = kummer_image(m101, trivial_class(p), p)
+        img = kummer_image(m101, 0, p)
         for c in img.basis:
-            assert c.first.bits[0] == 0
-            assert c.second.bits[0] == 0
+            assert c & 1 == 0
+            assert (c >> p.width) & 1 == 0
 
 
 def test_h_v_examples(corpus):
     for m in corpus:
         for place in all_places():
-            assert h_v(m, trivial_class(place), place) == 0
+            assert h_v(m, 0, place) == 0
         assert h_v(m, SIGN, REAL_PLACE) == 1
     # ramified class at a good odd prime
     for q in (3, 7, 13):
@@ -96,8 +104,8 @@ def test_h_v_examples(corpus):
         for m in corpus:
             if q in {v.p for v in sigma_set(m).places}:
                 continue
-            assert h_v(m, LocalSquareClass(p, (1, 0)), p) == 2
-            assert h_v(m, LocalSquareClass(p, (1, 1)), p) == 2
+            assert h_v(m, 0b01, p) == 2
+            assert h_v(m, 0b11, p) == 2
 
 
 def test_ramhv_intersection_trivial(corpus):
@@ -108,38 +116,64 @@ def test_ramhv_intersection_trivial(corpus):
         for _ in range(10):
             q = rng.choice(primes)
             place = finite_place(q)
-            cls = LocalSquareClass(place, (1, rng.randint(0, 1)))
-            a1 = kummer_image(m, trivial_class(place), place)
+            cls = 1 | rng.randint(0, 1) << 1
+            a1 = kummer_image(m, 0, place)
             ax = kummer_image(m, cls, place)
-            inter = gf2.intersect(a1.bit_rows(), ax.bit_rows(), 2 * place.width)
+            inter = gf2.intersect(a1.basis, ax.basis, 2 * place.width)
             assert inter == []
             assert h_v(m, cls, place) == 2
+
+
+def multiplied_image(model, d_class, place, budget=10**5):
+    """kummer_image under the wrong identification, which multiplies both
+    cocycle coordinates of every nontrivial cocycle by the twist class."""
+    rep = representative(place, d_class)
+    roots = tuple(rep * e for e in model.roots)
+    k = place.width
+    shift = d_class | d_class << k
+    span = gf2.Span()
+    basis = []
+
+    def push(c):
+        if c and span.add(c ^ shift):
+            basis.append(c ^ shift)
+        return span.dim == k
+
+    for t in _torsion_cocycles(roots, place):
+        if push(t):
+            return basis
+    for x in itertools.islice(_sample_x(place, roots), budget):
+        if x in roots:
+            continue
+        if local_class((x - roots[0]) * (x - roots[1]) * (x - roots[2]), place) == 0:
+            if push(local_class(x - roots[0], place) | local_class(x - roots[1], place) << k):
+                return basis
+    raise SamplingBudgetExceeded(f"wrong-convention image at {place} stuck at dim {span.dim}")
 
 
 def test_multiplied_coordinates_convention_fails(m101):
     # the alternative identification must violate isotropy at a ramified
     # odd place ...
     p5 = finite_place(5)
-    cls = LocalSquareClass(p5, (1, 0))
-    wrong = kummer_image(m101, cls, p5, multiplied_coordinates=True)
+    wrong = multiplied_image(m101, 0b01, p5)
     violations = [
         (a, b)
-        for a in wrong.basis
-        for b in wrong.basis
-        if local_pairing(a, b) == 1
+        for a in wrong
+        for b in wrong
+        if local_pairing(p5, a, b) == 1
     ]
     assert violations, "wrong convention unexpectedly isotropic"
     # ... and at the real place it cannot even reach the expected dimension
     with pytest.raises(SamplingBudgetExceeded):
-        kummer_image(m101, SIGN, REAL_PLACE, multiplied_coordinates=True)
+        multiplied_image(m101, SIGN, REAL_PLACE)
 
 
 def test_image_cache_consistency(m101):
     p = finite_place(5)
-    a = kummer_image(m101, trivial_class(p), p)
-    b = kummer_image(m101, trivial_class(p), p)
+    a = kummer_image(m101, 0, p)
+    b = kummer_image(m101, 0, p)
     assert a is b
     clear_image_cache()
-    c = kummer_image(m101, trivial_class(p), p)
+    c = kummer_image(m101, 0, p)
     assert c is not a
-    assert sorted(gf2.reduce_rows(c.bit_rows())) == sorted(gf2.reduce_rows(a.bit_rows()))
+    assert sorted(gf2.reduce_rows(c.basis)) == sorted(gf2.reduce_rows(a.basis))

@@ -2,27 +2,31 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twoselmer import gf2
 from twoselmer.padic import (
     REAL_PLACE,
-    LocalCocycle,
-    LocalSquareClass,
-    Place,
-    class_from_int,
-    cocycle_from_int,
-    cocycle_space_dim,
     finite_place,
     hilbert,
-    hilbert_rational,
-    is_local_square,
     local_class,
     local_pairing,
     nonresidue,
     parse_place,
-    trivial_class,
+    representative,
 )
+from twoselmer.selmer import GlobalClassBasis, GlobalSquareClass, restriction
 from twoselmer.zarith import factorize
+
+PLACES = [REAL_PLACE, finite_place(2), finite_place(3), finite_place(5), finite_place(13)]
+
+
+def hilbert_rational(a, b, place):
+    return hilbert(place, local_class(a, place), local_class(b, place))
+
+
+def is_local_square(r, place):
+    return local_class(r, place) == 0
 
 
 def test_place_basics():
@@ -37,27 +41,28 @@ def test_place_basics():
 
 def test_local_class_examples():
     # 18 = 2 * 3^2: even valuation at 3, unit part 2 is a non-residue mod 3
-    assert local_class(18, finite_place(3)).bits == (0, 1)
-    assert local_class(-4, REAL_PLACE).bits == (1,)
+    assert local_class(18, finite_place(3)) == 0b10
+    assert local_class(-4, REAL_PLACE) == 0b1
     # 17 = 1 mod 8 is a 2-adic square
-    assert local_class(17, finite_place(2)).bits == (0, 0, 0)
+    assert local_class(17, finite_place(2)) == 0
 
 
 def test_local_class_two_adic_units():
     p2 = finite_place(2)
-    assert local_class(1, p2).is_trivial
-    assert local_class(3, p2).bits == (0, 1, 1)
-    assert local_class(5, p2).bits == (0, 0, 1)
-    assert local_class(7, p2).bits == (0, 1, 0)
-    assert local_class(2, p2).bits == (1, 0, 0)
+    # bit 0: valuation parity, bit 1: the -1 coordinate, bit 2: the 5 coordinate
+    assert local_class(1, p2) == 0
+    assert local_class(3, p2) == 0b110
+    assert local_class(5, p2) == 0b100
+    assert local_class(7, p2) == 0b010
+    assert local_class(2, p2) == 0b001
 
 
 def test_class_group_law():
     p = finite_place(5)
     a = local_class(5, p)
     b = local_class(Fraction(2, 5), p)
-    assert (a + b) == local_class(2, p)
-    assert (a + a).is_trivial
+    assert (a ^ b) == local_class(2, p)
+    assert (a ^ a) == 0
 
 
 def test_is_local_square():
@@ -124,46 +129,91 @@ def test_hilbert_product_formula():
 
 def test_local_pairing_examples():
     p = finite_place(5)
-    x = LocalCocycle(local_class(5, p), trivial_class(p))
-    assert local_pairing(x, x) == 0
+    x = local_class(5, p)  # (5, 1)
+    assert local_pairing(p, x, x) == 0
     u = nonresidue(5)
-    y = LocalCocycle(trivial_class(p), local_class(u, p))
-    assert local_pairing(x, y) == 1
-    zero = LocalCocycle(trivial_class(p), trivial_class(p))
-    assert local_pairing(x, zero) == 0
-    assert local_pairing(y, zero) == 0
+    y = local_class(u, p) << p.width  # (1, u)
+    assert local_pairing(p, x, y) == 1
+    assert local_pairing(p, x, 0) == 0
+    assert local_pairing(p, y, 0) == 0
 
 
 def test_local_pairing_nondegenerate():
     for place in (REAL_PLACE, finite_place(3), finite_place(5), finite_place(2)):
-        dim = cocycle_space_dim(place)
-        basis = [cocycle_from_int(place, 1 << i) for i in range(dim)]
+        dim = 2 * place.width
+        basis = [1 << i for i in range(dim)]
         gram = []
         for x in basis:
             row = 0
             for j, y in enumerate(basis):
-                row |= local_pairing(x, y) << j
+                row |= local_pairing(place, x, y) << j
             gram.append(row)
         assert gf2.rank(gram) == dim
 
 
-def test_cocycle_encoding_round_trip():
-    for place in (REAL_PLACE, finite_place(3), finite_place(2)):
-        for n in range(1 << cocycle_space_dim(place)):
-            c = cocycle_from_int(place, n)
-            assert c.as_int() == n
-            assert c.place == place
-
-
 def test_class_encoding_round_trip():
-    for place in (REAL_PLACE, finite_place(7), finite_place(2)):
+    # bit i of a class is the coordinate on the i-th generator of the layout
+    generators = {
+        REAL_PLACE: [-1],
+        finite_place(2): [2, -1, 5],
+        finite_place(7): [7, nonresidue(7)],
+        finite_place(13): [13, nonresidue(13)],
+    }
+    for place, gens in generators.items():
+        assert len(gens) == place.width
         for n in range(1 << place.width):
-            assert class_from_int(place, n).as_int() == n
+            r = 1
+            for i, g in enumerate(gens):
+                if (n >> i) & 1:
+                    r *= g
+            assert local_class(r, place) == n
+
+
+def test_cocycle_encoding_round_trip():
+    # a cocycle packs (first, second) as first | second << width
+    for place in (REAL_PLACE, finite_place(3), finite_place(2)):
+        k = place.width
+        basis = GlobalClassBasis((-1, 2, 3, 5))
+        for n in range(1 << 2 * k):
+            first, second = n & ((1 << k) - 1), n >> k
+            assert first | second << k == n
+            pair = tuple(
+                GlobalSquareClass(basis, basis.class_of(representative(place, c)))
+                for c in (first, second)
+            )
+            assert restriction(pair, place) == n
 
 
 def test_representative_round_trip():
-    rng = random.Random(9)
     for place in (REAL_PLACE, finite_place(2), finite_place(3), finite_place(13)):
-        for n in range(1 << place.width):
-            cls = class_from_int(place, n)
-            assert local_class(cls.representative(), place) == cls
+        for c in range(1 << place.width):
+            assert local_class(representative(place, c), place) == c
+
+
+# Property tests over the int form; every run draws the same examples.
+derandomized = settings(derandomize=True, database=None)
+nonzero = st.integers(-10**6, 10**6).filter(bool)
+rationals = st.builds(Fraction, nonzero, st.integers(1, 10**4))
+
+
+@settings(derandomized, max_examples=300)
+@given(a=rationals, b=rationals, place=st.sampled_from(PLACES))
+def test_local_class_is_multiplicative(a, b, place):
+    assert local_class(a * b, place) == local_class(a, place) ^ local_class(b, place)
+
+
+@settings(derandomized, max_examples=100)
+@given(place=st.sampled_from(PLACES + [finite_place(p) for p in (7, 11, 10007)]), data=st.data())
+def test_representative_lies_in_its_class(place, data):
+    c = data.draw(st.integers(0, (1 << place.width) - 1))
+    assert local_class(representative(place, c), place) == c
+
+
+@settings(derandomized, max_examples=300)
+@given(a=nonzero, b=nonzero)
+def test_hilbert_product_formula_property(a, b):
+    support = {2} | {p for n in (a, b) for p, _ in factorize(n).factors}
+    prod = hilbert_rational(a, b, REAL_PLACE)
+    for p in support:
+        prod *= hilbert_rational(a, b, finite_place(p))
+    assert prod == 1
