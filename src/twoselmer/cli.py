@@ -112,7 +112,9 @@ def cmd_scan(args) -> int:
     records: list[twist_lab.TwistRecord] = []
     if args.resume and os.path.exists(records_path):
         with open(records_path) as fh:
-            records = [_parse_record(ln) for ln in fh.read().splitlines() if ln]
+            lines = fh.read().split("\n")
+        # lines[-1] follows the last newline: empty, or a line torn by a crash mid-write
+        records = [_parse_record(ln) for ln in lines[:-1] if ln]
         if records:
             last_abs = abs(records[-1].d)
             # recompute the in-flight block: drop records at the last |d|

@@ -89,10 +89,9 @@ class SigmaSet:
         return place in self.places
 
 
-def sigma_set(model: FullTwoTorsionModel, extra_primes: tuple[int, ...] = ()) -> SigmaSet:
-    """{inf, 2} plus the odd primes dividing the discriminant (plus any extras)."""
+def sigma_set(model: FullTwoTorsionModel) -> SigmaSet:
+    """{inf, 2} plus the odd primes dividing the discriminant."""
     bad = {p for p, _ in factorize(model.discriminant).factors if p != 2}
-    bad.update(extra_primes)
     places = [REAL_PLACE, Place(2)] + [Place(p) for p in sorted(bad)]
     return SigmaSet(tuple(places))
 

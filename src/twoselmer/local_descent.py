@@ -80,12 +80,7 @@ def _sample_x(place: Place, roots: tuple[int, int, int]) -> Iterator[Fraction]:
 _image_cache: dict[tuple, LocalImage] = {}
 
 
-def kummer_image(
-    model: FullTwoTorsionModel,
-    d_class: int,
-    place: Place,
-    budget: int = DEFAULT_SAMPLING_BUDGET,
-) -> LocalImage:
+def kummer_image(model: FullTwoTorsionModel, d_class: int, place: Place) -> LocalImage:
     """alpha_v for the local twist by d_class, in the ambient E[2] coordinates."""
     if not 0 <= d_class < 1 << place.width:
         raise ValueError(f"class {d_class} out of range at {place}")
@@ -115,7 +110,7 @@ def kummer_image(
 
     if span.dim < target:
         r1, r2, _ = roots
-        remaining = budget
+        remaining = DEFAULT_SAMPLING_BUDGET
         for x in _sample_x(place, roots):
             if remaining <= 0:
                 raise SamplingBudgetExceeded(

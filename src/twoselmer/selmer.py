@@ -1,76 +1,39 @@
 """Global 2-Selmer groups as F2 kernels, Poitou-Tate checks and mask collapsing.
 
-A Selmer element is a pair of square classes supported on Sigma', encoded
-as a bit vector over the generators [-1, p1, p2, ...].  The group is the
-kernel of one F2 matrix whose rows are the local conditions at the places
-of Sigma'; nothing is enumerated.
+A Selmer element is a pair (d1, d2) of square classes supported on Sigma'.
+It is one int of 2m bits, the kernel vector itself: over the m generators
+(-1, *primes of Sigma' ascending), bit i says whether generator i divides
+d1 and bit m + i whether it divides d2.  ``SelmerResult.basis_values``
+decodes the vectors into signed squarefree pairs, the only other form.  The
+group is the kernel of one F2 matrix whose rows are the local conditions at
+the places of Sigma'; nothing is enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import gf2
 from .curve import FullTwoTorsionModel, sigma_set
 from .errors import SearchBudgetExceeded, SoundnessAlarm
-from .local_descent import kummer_image, h_v
+from .local_descent import kummer_image
 from .padic import Place, local_class, local_pairing
 from .zarith import is_prime, legendre
 
 DEFAULT_PRIME_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class GlobalClassBasis:
-    """Generators [-1, p1, p2, ...] of Q(Sigma', 2); -1 stands for the real place."""
-
-    generators: tuple[int, ...]
-
-    @classmethod
-    def from_places(cls, places: tuple[Place, ...]) -> "GlobalClassBasis":
-        primes = sorted(v.p for v in places if v.p is not None)
-        return cls((-1, *primes))
-
-    @property
-    def dim(self) -> int:
-        return len(self.generators)
-
-    def value(self, bits: int) -> int:
-        n = 1
-        for i, g in enumerate(self.generators):
-            if (bits >> i) & 1:
-                n *= g
-        return n
-
-    def class_of(self, n: int) -> int:
-        """Bit vector of a signed squarefree integer supported on the basis."""
-        if n == 0:
-            raise ValueError("0 has no class")
-        bits = 0
-        if n < 0:
-            bits |= 1
-            n = -n
-        for i, g in enumerate(self.generators[1:], start=1):
-            if n % g == 0:
-                bits |= 1 << i
-                n //= g
-        if n != 1:
-            raise ValueError("integer not supported on the basis")
-        return bits
+def _generators(places: tuple[Place, ...]) -> tuple[int, ...]:
+    """Generators (-1, p1, p2, ...) of Q(Sigma', 2); -1 stands for the real place."""
+    return (-1, *sorted(v.p for v in places if v.p is not None))
 
 
-@dataclass(frozen=True)
-class GlobalSquareClass:
-    basis: GlobalClassBasis
-    bits: int
-
-    @property
-    def value(self) -> int:
-        return self.basis.value(self.bits)
-
-    def local(self, place: Place) -> int:
-        return local_class(self.value, place)
+def _value(generators: tuple[int, ...], bits: int) -> int:
+    n = 1
+    for i, g in enumerate(generators):
+        if (bits >> i) & 1:
+            n *= g
+    return n
 
 
 @dataclass
@@ -91,11 +54,12 @@ class SelmerSpec:
 @dataclass
 class SelmerResult:
     dim: int
-    basis: list[tuple[GlobalSquareClass, GlobalSquareClass]]
+    basis: list[int]
     sigma_prime: tuple[Place, ...]
 
     def basis_values(self) -> list[tuple[int, int]]:
-        return [(a.value, b.value) for a, b in self.basis]
+        gens = _generators(self.sigma_prime)
+        return [(_value(gens, vec), _value(gens, vec >> len(gens))) for vec in self.basis]
 
     def to_record(self, model: FullTwoTorsionModel, masks: dict | None = None) -> dict:
         return {
@@ -121,8 +85,8 @@ def selmer_group(spec: SelmerSpec, verify: bool = False) -> SelmerResult:
     """Kernel computation of the (masked / strict / relaxed) 2-Selmer group."""
     spec.validate()
     places = _sigma_prime(spec)
-    basis = GlobalClassBasis.from_places(places)
-    m = basis.dim
+    generators = _generators(places)
+    m = len(generators)
     width = 2 * m
 
     rows: list[int] = []
@@ -131,7 +95,7 @@ def selmer_group(spec: SelmerSpec, verify: bool = False) -> SelmerResult:
         if v in spec.relaxed:
             continue
         k = v.width
-        loc = [local_class(g, v) for g in basis.generators]
+        loc = [local_class(g, v) for g in generators]
         if v in spec.strict:
             checks = [1 << j for j in range(2 * k)]
             image_rows: tuple[int, ...] = ()
@@ -148,14 +112,7 @@ def selmer_group(spec: SelmerSpec, verify: bool = False) -> SelmerResult:
         conditions.append((v, image_rows))
 
     kernel = gf2.kernel_basis(rows, width)
-    pairs = [
-        (
-            GlobalSquareClass(basis, vec & ((1 << m) - 1)),
-            GlobalSquareClass(basis, vec >> m),
-        )
-        for vec in kernel
-    ]
-    result = SelmerResult(len(pairs), pairs, places)
+    result = SelmerResult(len(kernel), kernel, places)
 
     if verify:
         _verify_pointwise(spec, result, conditions)
@@ -163,7 +120,7 @@ def selmer_group(spec: SelmerSpec, verify: bool = False) -> SelmerResult:
 
 
 def _verify_pointwise(spec, result: SelmerResult, conditions) -> None:
-    for a, b in result.basis:
+    for a, b in result.basis_values():
         for v, image_rows in conditions:
             c = restriction((a, b), v)
             if v in spec.strict:
@@ -172,14 +129,14 @@ def _verify_pointwise(spec, result: SelmerResult, conditions) -> None:
                 ok = gf2.in_span(c, image_rows)
             if not ok:
                 raise SoundnessAlarm(
-                    f"basis element ({a.value},{b.value}) violates the condition at {v}"
+                    f"basis element ({a},{b}) violates the condition at {v}"
                 )
 
 
-def restriction(pair: tuple[GlobalSquareClass, GlobalSquareClass], place: Place) -> int:
-    """The local cocycle of a global pair at a place."""
+def restriction(pair: tuple[int, int], place: Place) -> int:
+    """The local cocycle of a global value pair at a place."""
     a, b = pair
-    return a.local(place) | b.local(place) << place.width
+    return local_class(a, place) | local_class(b, place) << place.width
 
 
 def _strict_and_relaxed(spec: SelmerSpec, T: frozenset[Place]) -> tuple[SelmerSpec, SelmerSpec]:
@@ -213,31 +170,25 @@ def duality_check(spec: SelmerSpec, T: frozenset[Place]) -> tuple[bool, dict]:
         "orthogonal": True,
         "counterexample": None,
     }
-    plain = selmer_group(spec)
-    for x in relaxed.basis:
-        for y in plain.basis:
+    plain = selmer_group(spec).basis_values()
+    for x in relaxed.basis_values():
+        for y in plain:
             s = 0
             for v in T:
                 s ^= local_pairing(v, restriction(x, v), restriction(y, v))
             if s:
                 report["orthogonal"] = False
-                report["counterexample"] = {
-                    "x": [x[0].value, x[1].value],
-                    "y": [y[0].value, y[1].value],
-                }
+                report["counterexample"] = {"x": list(x), "y": list(y)}
                 break
         if not report["orthogonal"]:
             break
     return report["gap_ok"] and report["orthogonal"], report
 
 
-def frobenius_eval(
-    element: tuple[GlobalSquareClass, GlobalSquareClass], q: int
-) -> tuple[int, int]:
+def frobenius_eval(element: tuple[int, int], q: int) -> tuple[int, int]:
     """(legendre bit of d1, legendre bit of d2) at an odd prime q outside Sigma'."""
-    d1, d2 = element[0].value, element[1].value
     out = []
-    for d in (d1, d2):
+    for d in element:
         s = legendre(d, q)
         if s == 0:
             raise ValueError(f"{q} divides a basis support; q must lie outside Sigma'")
@@ -245,20 +196,15 @@ def frobenius_eval(
     return tuple(out)
 
 
-def _find_frobenius_prime(
-    basis: GlobalClassBasis,
-    target_index: int,
-    avoid: set[int],
-    budget: int = DEFAULT_PRIME_BUDGET,
-) -> int:
+def _find_frobenius_prime(generators: tuple[int, ...], target_index: int, avoid: set[int]) -> int:
     """Smallest odd prime w with legendre(g_i, w) = -1 exactly for i = target_index."""
     tried = 0
     w = 3
-    while tried < budget:
+    while tried < DEFAULT_PRIME_BUDGET:
         if is_prime(w) and w not in avoid:
             tried += 1
             ok = True
-            for i, g in enumerate(basis.generators):
+            for i, g in enumerate(generators):
                 want = -1 if i == target_index else 1
                 if g == -1:
                     got = 1 if w % 4 == 1 else -1
@@ -273,9 +219,7 @@ def _find_frobenius_prime(
     raise SearchBudgetExceeded("no Frobenius prime found within budget")
 
 
-def collapse_masks(
-    spec: SelmerSpec, budget: int = DEFAULT_PRIME_BUDGET
-) -> list[tuple[int, int]]:
+def collapse_masks(spec: SelmerSpec) -> list[tuple[int, int]]:
     """Ramified masks at k new primes that drop the Selmer dimension by 2k.
 
     Requires dim = n + k with 2 <= k <= n, n = |Sigma'|.  Directions are
@@ -289,17 +233,18 @@ def collapse_masks(
     k = result.dim - n
     if not 2 <= k <= n:
         raise ValueError(f"needs dim = n + k with 2 <= k <= n; got dim {result.dim}, n {n}")
-    basis = result.basis[0][0].basis if result.basis else GlobalClassBasis.from_places(places)
+    generators = _generators(places)
+    m = len(generators)
 
     # t_i(s) = (bit i of d1, bit i of d2); greedy selection of 2-jumps
     maps = []
-    for i in range(basis.dim):
-        rows = [((a.bits >> i) & 1) | (((b.bits >> i) & 1) << 1) for a, b in result.basis]
+    for i in range(m):
+        rows = [((vec >> i) & 1) | (((vec >> (m + i)) & 1) << 1) for vec in result.basis]
         maps.append(rows)
     selected: list[int] = []
     acc = [0] * result.dim
     prev_rank = 0
-    for i in range(basis.dim):
+    for i in range(m):
         acc = [acc[j] | (maps[i][j] << (2 * i)) for j in range(result.dim)]
         r = gf2.rank(acc)
         if r == prev_rank + 2:
@@ -315,10 +260,10 @@ def collapse_masks(
     if gf2.rank(joint) != 2 * k:
         raise SoundnessAlarm("selected coordinate maps are not jointly surjective")
 
-    avoid = {g for g in basis.generators if g != -1}
+    avoid = {g for g in generators if g != -1}
     out: list[tuple[int, int]] = []
     for i in selected:
-        w = _find_frobenius_prime(basis, i, avoid, budget)
+        w = _find_frobenius_prime(generators, i, avoid)
         avoid.add(w)
         place = Place(w)
         out.append((w, local_class(w, place)))

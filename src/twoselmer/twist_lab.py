@@ -18,17 +18,14 @@ from .curve import (
     four_torsion_rational_at,
     local_twist_classes,
     sigma_set,
-    twist,
 )
 from .errors import SearchBudgetExceeded, SoundnessAlarm
 from .local_descent import h_v
 from .padic import Place, REAL_PLACE, local_class
-from .selmer import SelmerSpec, selmer_group
+from .selmer import DEFAULT_PRIME_BUDGET, SelmerSpec, selmer_group
 from .zarith import is_prime, is_squarefree, legendre
 
 log = logging.getLogger(__name__)
-
-DEFAULT_PRIME_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -83,16 +80,27 @@ def base_rank(model: FullTwoTorsionModel) -> int:
 
 def parity_check(model: FullTwoTorsionModel, d: int) -> dict:
     """Kramer parity: (r2(E) - r2(E^d)) mod 2 vs sum of local norm indices."""
+    if d == 0 or not is_squarefree(d):
+        raise ValueError("twist parameter must be a nonzero squarefree integer")
     r0 = base_rank(model)
-    rd = rank_of_twist(model, d)
+    spec = twist_spec(model, d)
+    result = selmer_group(spec)
     rhs = 0
     h_terms = {}
-    for v, cls in local_twist_classes(model, d).items():
+    for v, cls in spec.masks.items():
         h = h_v(model, cls, v)
         h_terms[str(v)] = h
         rhs ^= h & 1
-    lhs = (r0 - rd) % 2
-    return {"d": d, "rank": rd, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs, "h": h_terms}
+    lhs = (r0 - result.dim) % 2
+    return {
+        "d": d,
+        "rank": result.dim,
+        "lhs": lhs,
+        "rhs": rhs,
+        "equal": lhs == rhs,
+        "h": h_terms,
+        "sigma_prime": len(result.sigma_prime),
+    }
 
 
 def _primes(start: int = 2) -> Iterator[int]:
@@ -115,20 +123,13 @@ def _matches_prescription(
 def character_candidates(
     model: FullTwoTorsionModel,
     at_sigma: dict[Place, int],
-    ramified: tuple[int, ...] = (),
-    extra_prime: str | int = "auto",
+    extra_prime: str = "auto",
     budget: int = DEFAULT_PRIME_BUDGET,
 ) -> Iterator[int]:
-    """Squarefree d matching local classes at Sigma, ramified exactly at
-    ``ramified`` (plus one extra prime) outside Sigma; ascending extra prime."""
-    sigma = sigma_set(model)
-    sigma_primes = [v.p for v in sigma.places if v.p is not None]
-    for p in ramified:
-        if Place(p) in sigma.places:
-            raise ValueError(f"ramified prime {p} lies in Sigma")
-    t = 1
-    for p in ramified:
-        t *= p
+    """Squarefree d matching local classes at Sigma and ramified outside Sigma
+    at one extra prime q, by ascending q; with ``"auto"`` the d supported on
+    Sigma come first, with ``"require"`` they are skipped."""
+    sigma_primes = [v.p for v in sigma_set(model).places if v.p is not None]
     units = [-1] + sigma_primes
     subsets = []
     for bits in range(1 << len(units)):
@@ -138,27 +139,19 @@ def character_candidates(
                 s *= u
         subsets.append(s)
 
-    if extra_prime in ("none", "auto"):
+    if extra_prime == "auto":
         for s in subsets:
-            d = s * t
-            if _matches_prescription(model, d, at_sigma):
-                yield d
-        if extra_prime == "none":
-            return
-    qs: Iterator[int]
-    if isinstance(extra_prime, int):
-        qs = iter([extra_prime])
-    else:
-        qs = _primes(3)
+            if _matches_prescription(model, s, at_sigma):
+                yield s
     count = 0
-    for q in qs:
-        if q in sigma_primes or q in ramified:
+    for q in _primes(3):
+        if q in sigma_primes:
             continue
         count += 1
         if count > budget:
             raise SearchBudgetExceeded("character prime search budget exceeded")
         for s in subsets:
-            d = s * t * q
+            d = s * q
             if _matches_prescription(model, d, at_sigma):
                 yield d
 
@@ -213,7 +206,7 @@ def find_plus_one(model: FullTwoTorsionModel, budget: int = DEFAULT_PRIME_BUDGET
         raise SoundnessAlarm(
             f"sign-masked rank {masked} != r - 1 = {r_before - 1}"
         )
-    for d in character_candidates(model, sign_mask, (), "require", budget):
+    for d in character_candidates(model, sign_mask, "require", budget):
         r_after = rank_of_twist(model, d)
         if r_after == r_before + 1:
             return {
@@ -240,10 +233,7 @@ def scan_records(
         t0 = time.monotonic()
         chk = parity_check(model, d)
         ms = int((time.monotonic() - t0) * 1000) if timing else 0
-        n_prime = len(sigma_set(model).places) + len(
-            [1 for v in local_twist_classes(model, d) if v not in sigma_set(model).places]
-        )
-        yield TwistRecord(d, chk["rank"], chk["lhs"], chk["rhs"], n_prime, ms)
+        yield TwistRecord(d, chk["rank"], chk["lhs"], chk["rhs"], chk["sigma_prime"], ms)
 
 
 def summarize(model: FullTwoTorsionModel, bound: int, records: list[TwistRecord]) -> ScanSummary:

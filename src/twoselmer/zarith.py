@@ -83,11 +83,7 @@ def _pollard_rho(n: int, budget: list[int]) -> int:
         c += 1
 
 
-def factorize(
-    n: int,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    rho_budget: int = DEFAULT_RHO_BUDGET,
-) -> FactoredInteger:
+def factorize(n: int) -> FactoredInteger:
     """Factor a nonzero integer; raises FactorizationBudgetExceeded on huge inputs."""
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -102,12 +98,12 @@ def factorize(
         record(2)
         m //= 2
     d = 3
-    while d <= trial_bound and d * d <= m:
+    while d <= DEFAULT_TRIAL_BOUND and d * d <= m:
         while m % d == 0:
             record(d)
             m //= d
         d += 2
-    budget = [rho_budget]
+    budget = [DEFAULT_RHO_BUDGET]
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()

@@ -83,16 +83,31 @@ def test_scan_outputs_and_determinism(tmp_path, capsys):
 
 def test_scan_resume(tmp_path, capsys):
     full = tmp_path / "full"
-    part = tmp_path / "part"
     assert main(["scan", "--curve=-1,0,1", "--bound=60", f"--out={full}"]) == 0
     capsys.readouterr()
-    part.mkdir()
-    lines = (full / "records.jsonl").read_text().splitlines()
-    (part / "records.jsonl").write_text("\n".join(lines[:31]) + "\n")
-    assert main(["scan", "--curve=-1,0,1", "--bound=60", f"--out={part}", "--resume"]) == 0
+    records = (full / "records.jsonl").read_bytes()
+    lines = records.decode().splitlines()
+    cases = {
+        "clean": ("\n".join(lines[:31]) + "\n").encode(),
+        # a crash mid-write leaves a last line without its newline
+        "torn": records[:-20],
+    }
+    for name, kept in cases.items():
+        part = tmp_path / name
+        part.mkdir()
+        (part / "records.jsonl").write_bytes(kept)
+        assert main(["scan", "--curve=-1,0,1", "--bound=60", f"--out={part}", "--resume"]) == 0
+        capsys.readouterr()
+        assert (part / "records.jsonl").read_bytes() == records, name
+        assert (part / "summary.json").read_bytes() == (full / "summary.json").read_bytes(), name
+
+
+def test_scan_resume_rejects_corrupt_line(tmp_path, capsys):
+    out = tmp_path / "c"
+    out.mkdir()
+    (out / "records.jsonl").write_text('{"d": 1\n{"d": 2}\n')
+    assert main(["scan", "--curve=-1,0,1", "--bound=5", f"--out={out}", "--resume"]) == 1
     capsys.readouterr()
-    assert (part / "records.jsonl").read_bytes() == (full / "records.jsonl").read_bytes()
-    assert (part / "summary.json").read_bytes() == (full / "summary.json").read_bytes()
 
 
 def test_scan_bound_zero_usage_error(tmp_path, capsys):

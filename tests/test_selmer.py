@@ -6,8 +6,7 @@ import pytest
 from twoselmer.curve import FullTwoTorsionModel, sigma_set, twist
 from twoselmer.padic import REAL_PLACE, finite_place
 from twoselmer.selmer import (
-    GlobalClassBasis,
-    GlobalSquareClass,
+    SelmerResult,
     SelmerSpec,
     collapse_masks,
     duality_check,
@@ -15,20 +14,16 @@ from twoselmer.selmer import (
     selmer_group,
     strict_relaxed_dims,
 )
+from twoselmer.zarith import squarefree_value
 
 SIGN = 1  # the nontrivial class at the real place
 
 
 def test_global_class_basis():
-    basis = GlobalClassBasis((-1, 2, 5))
-    assert basis.dim == 3
-    assert basis.value(0b101) == -5
-    assert basis.class_of(-10) == 0b111
-    assert basis.class_of(1) == 0
-    with pytest.raises(ValueError):
-        basis.class_of(3)
-    with pytest.raises(ValueError):
-        basis.class_of(0)
+    # an element is a kernel vector over (-1, 2, 5): low 3 bits d1, high 3 bits d2
+    sigma_prime = (REAL_PLACE, finite_place(2), finite_place(5))
+    result = SelmerResult(2, [0b101 | 0b111 << 3, 0], sigma_prime)
+    assert result.basis_values() == [(-5, -10), (1, 1)]
 
 
 def test_base_descent_dim(m101):
@@ -41,7 +36,7 @@ def test_base_descent_dim(m101):
         for i, (x, y) in enumerate(result.basis_values()):
             if (bits >> i) & 1:
                 a, b = a * x, b * y
-        values.add((result.basis[0][0].basis.class_of(a), result.basis[0][0].basis.class_of(b)))
+        values.add((squarefree_value(a), squarefree_value(b)))
     assert len(values) == 4
 
 
@@ -102,13 +97,11 @@ def test_mask_strict_overlap_rejected(m101):
 
 
 def test_frobenius_eval_examples():
-    basis = GlobalClassBasis((-1, 2))
-    elt = lambda n: GlobalSquareClass(basis, basis.class_of(n))
-    assert frobenius_eval((elt(1), elt(1)), 7) == (0, 0)
-    assert frobenius_eval((elt(-1), elt(2)), 5) == (0, 1)
-    assert frobenius_eval((elt(-1), elt(1)), 3) == (1, 0)
+    assert frobenius_eval((1, 1), 7) == (0, 0)
+    assert frobenius_eval((-1, 2), 5) == (0, 1)
+    assert frobenius_eval((-1, 1), 3) == (1, 0)
     with pytest.raises(ValueError):
-        frobenius_eval((elt(2), elt(1)), 2)
+        frobenius_eval((2, 1), 2)
 
 
 def test_prop_2n_bound(corpus):

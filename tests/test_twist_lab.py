@@ -28,6 +28,8 @@ def test_rank_examples(m101):
         rank_of_twist(m101, 12)
     with pytest.raises(ValueError):
         rank_of_twist(m101, 0)
+    with pytest.raises(ValueError):
+        parity_check(m101, 12)
 
 
 def test_masked_equals_direct_descent(corpus):
