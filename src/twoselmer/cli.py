@@ -17,7 +17,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import gf2, twist_lab
+from . import __version__, gf2, twist_lab
 from .curve import (
     FullTwoTorsionModel,
     parse_curve,
@@ -99,6 +99,14 @@ def cmd_descent(args) -> int:
     return EXIT_OK
 
 
+def _replace_file(path: str, text: str) -> None:
+    """Write a whole file through a temporary one, so a crash leaves the old or the new file."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def cmd_scan(args) -> int:
     if args.bound < 1:
         raise ValueError("--bound must be positive")
@@ -107,10 +115,27 @@ def cmd_scan(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     records_path = os.path.join(out_dir, "records.jsonl")
     summary_path = os.path.join(out_dir, "summary.json")
+    manifest_path = os.path.join(out_dir, "scan.json")
+    manifest = _dump({
+        "curve": str(model),
+        "bound": args.bound,
+        "schema_version": SCHEMA_VERSION,
+        "version": __version__,
+    }) + "\n"
 
     done_through = 0
     records: list[twist_lab.TwistRecord] = []
-    if args.resume and os.path.exists(records_path):
+    resuming = args.resume and os.path.exists(records_path)
+    if resuming:
+        try:
+            with open(manifest_path) as fh:
+                found = fh.read()
+        except FileNotFoundError:
+            raise ValueError(f"cannot resume: {manifest_path} is missing") from None
+        if found != manifest:
+            raise ValueError(
+                f"cannot resume: {manifest_path} holds {found.strip()}, not {manifest.strip()}"
+            )
         with open(records_path) as fh:
             lines = fh.read().split("\n")
         # lines[-1] follows the last newline: empty, or a line torn by a crash mid-write
@@ -120,10 +145,11 @@ def cmd_scan(args) -> int:
             # recompute the in-flight block: drop records at the last |d|
             records = [rec for rec in records if abs(rec.d) < last_abs]
             done_through = last_abs - 1
+        _replace_file(records_path, "".join(_record_line(rec) for rec in records))
+    else:
+        _replace_file(manifest_path, manifest)
 
-    with open(records_path, "w") as fh:
-        for rec in records:
-            fh.write(_record_line(rec))
+    with open(records_path, "a" if resuming else "w") as fh:
         for rec in scan_records(model, args.bound, timing=args.timing):
             if abs(rec.d) <= done_through:
                 continue
@@ -135,8 +161,7 @@ def cmd_scan(args) -> int:
     doc["curve"] = str(model)
     doc["schema_version"] = SCHEMA_VERSION
     doc["rank_histogram"] = {str(k): v for k, v in summary.rank_histogram.items()}
-    with open(summary_path, "w") as fh:
-        fh.write(_dump(doc) + "\n")
+    _replace_file(summary_path, _dump(doc) + "\n")
     print(_dump(doc))
     return EXIT_VERIFY if summary.parity_failures else EXIT_OK
 
@@ -223,6 +248,8 @@ def run_verify_suite(model: FullTwoTorsionModel, suite: str, trials: int, seed: 
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be positive")
     model = _load_model(args)
     report = run_verify_suite(model, args.suite, args.trials, args.seed)
     print(_dump(report))

@@ -26,10 +26,6 @@ class FullTwoTorsionModel:
         e1, e2, e3 = self.roots
         return 16 * ((e1 - e2) * (e1 - e3) * (e2 - e3)) ** 2
 
-    def f(self, x: Fraction | int) -> Fraction:
-        e1, e2, e3 = self.roots
-        return Fraction(x - e1) * (x - e2) * (x - e3)
-
     def __str__(self) -> str:
         return ",".join(str(e) for e in self.roots)
 

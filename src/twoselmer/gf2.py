@@ -105,10 +105,5 @@ def intersect(basis_a: list[int], basis_b: list[int], width: int) -> list[int]:
     return reduce_rows(out)
 
 
-def annihilator(rows: list[int], width: int) -> list[int]:
-    """Basis of the dual space vanishing on span(rows) under the bit-dot pairing."""
-    return kernel_basis(rows, width)
-
-
 def dot(a: int, b: int) -> int:
     return (a & b).bit_count() & 1

@@ -10,7 +10,6 @@ local conditions depend only on its local square class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from . import gf2
@@ -41,13 +40,17 @@ def _torsion_cocycles(roots: tuple[int, int, int], place: Place) -> list[int]:
     return [t1, t2]
 
 
-def _sample_x(place: Place, roots: tuple[int, int, int]) -> Iterator[Fraction]:
-    """Deterministic stream of rational x-values dense enough in Q_v."""
+def _sample_x(place: Place, roots: tuple[int, int, int]) -> Iterator[tuple[int, int]]:
+    """Deterministic stream of x-values dense enough in Q_v.
+
+    Each sample x = a/q is the integer pair (a, q) with q > 0: the class of
+    a/b is the class of ab, so the caller never builds a rational.
+    """
     if place.is_infinite:
         for j in range(7):
             q = 2**j
             for a in range(-4096, 4097):
-                yield Fraction(a, q)
+                yield a, q
         return
     p = place.p
     # near-root ladder: x = r + t * p^m with t hitting both residue signs
@@ -62,18 +65,18 @@ def _sample_x(place: Place, roots: tuple[int, int, int]) -> Iterator[Fraction]:
         pm = p**m
         for r in roots:
             for t in ts:
-                yield Fraction(r + t * pm)
-                yield Fraction(r - t * pm)
+                yield r + t * pm, 1
+                yield r - t * pm, 1
     # integers covering all residues, interleaved with denominator ladders
     denoms = [p ** (2 * j) for j in range(1, 4)]
     a = 1
     while True:
-        yield Fraction(a)
-        yield Fraction(-a)
+        yield a, 1
+        yield -a, 1
         for q in denoms:
             if a % p:
-                yield Fraction(a, q)
-                yield Fraction(-a, q)
+                yield a, q
+                yield -a, q
         a += 1
 
 
@@ -109,21 +112,22 @@ def kummer_image(model: FullTwoTorsionModel, d_class: int, place: Place) -> Loca
             break
 
     if span.dim < target:
-        r1, r2, _ = roots
+        # x - e_i = w_i / q has the class of w_i q, and f(x) that of w1 w2 w3 q
+        e1, e2, e3 = roots
         remaining = DEFAULT_SAMPLING_BUDGET
-        for x in _sample_x(place, roots):
+        for a, q in _sample_x(place, roots):
             if remaining <= 0:
                 raise SamplingBudgetExceeded(
                     f"kummer image at {place} for class {d_class} stuck at "
                     f"dim {span.dim} < {target}"
                 )
             remaining -= 1
-            if x == roots[0] or x == roots[1] or x == roots[2]:
+            w1, w2, w3 = a - e1 * q, a - e2 * q, a - e3 * q
+            if not (w1 and w2 and w3):
                 continue
-            f = (x - roots[0]) * (x - roots[1]) * (x - roots[2])
-            if local_class(f, place):
+            if local_class(w1 * w2 * w3 * q, place):
                 continue
-            push(local_class(x - r1, place) | local_class(x - r2, place) << place.width)
+            push(local_class(w1 * q, place) | local_class(w2 * q, place) << place.width)
             if span.dim == target:
                 break
         else:  # pragma: no cover - the sampler streams are infinite at finite places

@@ -11,16 +11,17 @@ bits, 0 being the trivial class and XOR the group law:
 
 A local cocycle in H^1(Q_v, E[2]) (split E[2]) is a pair of classes packed
 as ``first | second << place.width``.  Classes of global rationals are
-computed from valuations and residues; no p-adic precision is ever involved.
+computed from valuations and residues of integers, since the class of a/b
+is the class of ab; no p-adic precision is ever involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 
-from .zarith import is_prime, legendre, unit_part, valuation
+from .zarith import is_prime, legendre, valuation
 
 # unit mod 8 -> bit 1 (on -1) and bit 2 (on 5)
 _MOD8_BITS = {1: 0b000, 3: 0b110, 5: 0b100, 7: 0b010}
@@ -77,18 +78,18 @@ def nonresidue(p: int) -> int:
     return a
 
 
-def local_class(r: Fraction | int, place: Place) -> int:
-    """Image of a nonzero rational in Q_v^x / (Q_v^x)^2."""
-    if r == 0:
+def local_class(r: Rational, place: Place) -> int:
+    """Image of a nonzero rational in Q_v^x / (Q_v^x)^2: the class of a/b is that of ab."""
+    n = r.numerator * r.denominator
+    if n == 0:
         raise ValueError("0 has no square class")
     p = place.p
     if p is None:
-        return 1 if r < 0 else 0
-    v = valuation(r, p)
-    u = unit_part(r, p)
+        return 1 if n < 0 else 0
+    v = valuation(n, p)
+    u = n // p**v
     if p == 2:
-        m = u.numerator * pow(u.denominator, -1, 8) % 8
-        return (v & 1) | _MOD8_BITS[m]
+        return (v & 1) | _MOD8_BITS[u % 8]
     return (v & 1) | (0 if legendre(u, p) == 1 else 2)
 
 

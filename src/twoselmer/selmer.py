@@ -101,7 +101,8 @@ def selmer_group(spec: SelmerSpec, verify: bool = False) -> SelmerResult:
             image_rows: tuple[int, ...] = ()
         else:
             image_rows = kummer_image(spec.model, spec.masks.get(v, 0), v).basis
-            checks = gf2.annihilator(image_rows, 2 * k)
+            # the annihilator of the image under the bit-dot pairing
+            checks = gf2.kernel_basis(image_rows, 2 * k)
         res_of_gen = [loc[j] for j in range(m)] + [loc[j] << k for j in range(m)]
         for h in checks:
             row = 0
@@ -146,12 +147,6 @@ def _strict_and_relaxed(spec: SelmerSpec, T: frozenset[Place]) -> tuple[SelmerSp
         SelmerSpec(spec.model, dict(spec.masks), spec.strict | T, spec.relaxed),
         SelmerSpec(spec.model, dict(spec.masks), spec.strict, spec.relaxed | T),
     )
-
-
-def strict_relaxed_dims(spec: SelmerSpec, T: frozenset[Place]) -> tuple[int, int]:
-    """(dim Sel_{2,T}, dim Sel_2^T)."""
-    strict_spec, relaxed_spec = _strict_and_relaxed(spec, T)
-    return selmer_group(strict_spec).dim, selmer_group(relaxed_spec).dim
 
 
 def duality_check(spec: SelmerSpec, T: frozenset[Place]) -> tuple[bool, dict]:

@@ -1,15 +1,14 @@
-"""Exact integer and rational arithmetic primitives.
+"""Exact integer arithmetic primitives.
 
-Factorization, p-adic valuations, Legendre symbols and squarefree
-decomposition.  Rational numbers are plain ``fractions.Fraction`` values
-(normalized, positive denominator), so no extra wrapper type is needed.
-All arithmetic is exact; nothing in this package touches floats.
+Factorization, p-adic valuations, Legendre symbols and squarefree parts.
+Every function takes integers only: a square class never needs a rational,
+since the class of a/b is the class of ab.  All arithmetic is exact;
+nothing in this package touches floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import FactorizationBudgetExceeded
@@ -54,12 +53,6 @@ class FactoredInteger:
 
     sign: int
     factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes ascending
-
-    def reconstruct(self) -> int:
-        n = self.sign
-        for p, e in self.factors:
-            n *= p**e
-        return n
 
 
 def _pollard_rho(n: int, budget: list[int]) -> int:
@@ -118,66 +111,36 @@ def factorize(n: int) -> FactoredInteger:
     return FactoredInteger(sign, tuple(sorted(factors.items())))
 
 
-def valuation(r: Fraction | int, p: int) -> int:
-    """v_p(numerator) - v_p(denominator); r must be nonzero."""
-    num, den = r.numerator, r.denominator
-    if num == 0:
+def valuation(n: int, p: int) -> int:
+    """Exponent of the prime p in a nonzero integer n."""
+    if n == 0:
         raise ValueError("valuation of 0 is undefined")
     v = 0
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 
-def unit_part(r: Fraction | int, p: int) -> Fraction:
-    """r / p^{v_p(r)} as an exact rational p-adic unit."""
-    return Fraction(r) / Fraction(p) ** valuation(r, p)
-
-
-def legendre(a: int | Fraction, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p; rationals must be p-units unless a ≡ 0."""
-    num, den = a.numerator, a.denominator
-    if den % p == 0:
-        raise ValueError(f"{a} is not p-integral at {p}")
-    x = num * pow(den, -1, p) % p
-    if x == 0:
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) of an integer a at an odd prime p."""
+    x = a % p
+    if x == 0:  # explicit, so that a ≡ 0 is caught at p = 2 too: pow(0, 0, 2) == 1
         return 0
-    s = pow(x, (p - 1) // 2, p)
-    return 1 if s == 1 else -1
+    return 1 if pow(x, (p - 1) // 2, p) == 1 else -1
 
 
-def squarefree_decompose(r: Fraction | int) -> tuple[int, frozenset[int]]:
-    """(sign, squarefree prime support) of a nonzero rational, modulo squares."""
-    r = Fraction(r)
-    if r == 0:
-        raise ValueError("0 has no square class")
-    fn = factorize(r.numerator) if r.numerator not in (1, -1) else FactoredInteger(r.numerator, ())
-    fd = factorize(r.denominator) if r.denominator != 1 else FactoredInteger(1, ())
-    exps: dict[int, int] = dict(fn.factors)
-    for p, e in fd.factors:
-        exps[p] = exps.get(p, 0) - e
-    support = frozenset(p for p, e in exps.items() if e % 2 != 0)
-    return fn.sign, support
-
-
-def squarefree_value(r: Fraction | int) -> int:
-    """Signed squarefree integer representing the square class of r."""
-    sign, support = squarefree_decompose(r)
-    n = sign
-    for p in support:
-        n *= p
-    return n
+def squarefree_value(n: int) -> int:
+    """Signed squarefree integer in the square class of a nonzero integer n."""
+    if n in (1, -1):
+        return n
+    f = factorize(n)
+    value = f.sign
+    for p, e in f.factors:
+        if e & 1:
+            value *= p
+    return value
 
 
 def is_squarefree(n: int) -> bool:
-    if n == 0:
-        return False
-    sign, support = squarefree_decompose(n)
-    m = 1
-    for p in support:
-        m *= p
-    return m == abs(n)
+    return n != 0 and squarefree_value(n) == n

@@ -95,6 +95,7 @@ def test_scan_resume(tmp_path, capsys):
     for name, kept in cases.items():
         part = tmp_path / name
         part.mkdir()
+        (part / "scan.json").write_bytes((full / "scan.json").read_bytes())
         (part / "records.jsonl").write_bytes(kept)
         assert main(["scan", "--curve=-1,0,1", "--bound=60", f"--out={part}", "--resume"]) == 0
         capsys.readouterr()
@@ -104,10 +105,71 @@ def test_scan_resume(tmp_path, capsys):
 
 def test_scan_resume_rejects_corrupt_line(tmp_path, capsys):
     out = tmp_path / "c"
-    out.mkdir()
+    assert main(["scan", "--curve=-1,0,1", "--bound=5", f"--out={out}"]) == 0
+    capsys.readouterr()
     (out / "records.jsonl").write_text('{"d": 1\n{"d": 2}\n')
     assert main(["scan", "--curve=-1,0,1", "--bound=5", f"--out={out}", "--resume"]) == 1
+    assert "Expecting" in capsys.readouterr().err
+
+
+def snapshot(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_scan_writes_manifest(tmp_path, capsys):
+    out = tmp_path / "m"
+    assert main(["scan", "--curve=0,5,1", "--bound=3", f"--out={out}"]) == 0
     capsys.readouterr()
+    from twoselmer import __version__
+
+    assert json.loads((out / "scan.json").read_text()) == {
+        "curve": "0,1,5", "bound": 3, "schema_version": 1, "version": __version__,
+    }
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        # another curve: unchecked, resume exits 0 with 26 records of both curves
+        (["--curve=-1,0,1", "--bound=20"], ["--curve=0,1,5", "--bound=20"]),
+        # a smaller bound: unchecked, the summary counts 50 records instead of 14
+        (["--curve=-1,0,1", "--bound=40"], ["--curve=-1,0,1", "--bound=10"]),
+    ],
+)
+def test_scan_resume_rejects_other_arguments(tmp_path, capsys, first, second):
+    out = tmp_path / "r"
+    assert main(["scan", *first, f"--out={out}"]) == 0
+    before = snapshot(out)
+    assert main(["scan", *second, f"--out={out}", "--resume"]) == 1
+    assert "cannot resume" in capsys.readouterr().err
+    assert snapshot(out) == before
+
+
+def test_scan_resume_requires_manifest(tmp_path, capsys):
+    out = tmp_path / "n"
+    assert main(["scan", "--curve=-1,0,1", "--bound=20", f"--out={out}"]) == 0
+    (out / "scan.json").unlink()
+    before = snapshot(out)
+    assert main(["scan", "--curve=-1,0,1", "--bound=20", f"--out={out}", "--resume"]) == 1
+    assert "cannot resume" in capsys.readouterr().err
+    assert snapshot(out) == before
+
+
+def test_scan_resume_keeps_records_on_write_error(tmp_path, capsys, monkeypatch):
+    from twoselmer import cli
+
+    out = tmp_path / "w"
+    assert main(["scan", "--curve=-1,0,1", "--bound=20", f"--out={out}"]) == 0
+    capsys.readouterr()
+    before = snapshot(out)
+
+    def failing(rec):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_record_line", failing)
+    assert main(["scan", "--curve=-1,0,1", "--bound=20", f"--out={out}", "--resume"]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert snapshot(out) == before
 
 
 def test_scan_bound_zero_usage_error(tmp_path, capsys):
@@ -121,6 +183,13 @@ def test_verify_suites(capsys, suite):
     assert code == 0
     doc = last_json(out)
     assert doc["passed"] == 5 and doc["failures"] == []
+
+
+def test_verify_rejects_nonpositive_trials(capsys):
+    # unchecked, --trials 0 exits 0 having verified nothing and --trials -3 exits 2
+    for trials in ("0", "-3"):
+        assert main(["verify", "parity", "--curve=-1,0,1", f"--trials={trials}"]) == 1
+        assert "--trials" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite(capsys):

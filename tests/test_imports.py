@@ -1,8 +1,8 @@
-"""Every name a package module imports is used in that module.
+"""Import hygiene of the package modules, checked with a small ``ast`` pass.
 
-Neither ruff nor pyflakes is a dependency, so this is a small ``ast`` pass:
-a name bound by an import must appear as a ``Name`` somewhere in the module
-or be re-exported through ``__all__``.
+Neither ruff nor pyflakes is a dependency.  Every name a module imports must
+appear as a ``Name`` somewhere in the module or be re-exported through
+``__all__``, and rationals enter only through the input parsers.
 """
 
 import ast
@@ -39,3 +39,19 @@ def test_unused_import_check_detects_unused():
 def test_no_unused_imports():
     found = {p.name: unused_imports(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def imports_fractions(source: str) -> bool:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            return True
+    return False
+
+
+def test_fractions_only_in_input_parsers():
+    # the class of a/b is the class of ab: below the curve parser and --mask
+    # every square class is read from an integer
+    found = [p.name for p in sorted(SRC.glob("*.py")) if imports_fractions(p.read_text())]
+    assert found == ["cli.py", "curve.py"]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -142,7 +143,8 @@ def multiplied_image(model, d_class, place, budget=10**5):
     for t in _torsion_cocycles(roots, place):
         if push(t):
             return basis
-    for x in itertools.islice(_sample_x(place, roots), budget):
+    for a, q in itertools.islice(_sample_x(place, roots), budget):
+        x = Fraction(a, q)
         if x in roots:
             continue
         if local_class((x - roots[0]) * (x - roots[1]) * (x - roots[2]), place) == 0:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from twoselmer import gf2
 from twoselmer.padic import (
@@ -19,6 +19,26 @@ from twoselmer.selmer import restriction
 from twoselmer.zarith import factorize
 
 PLACES = [REAL_PLACE, finite_place(2), finite_place(3), finite_place(5), finite_place(13)]
+
+
+_MOD8_BITS = {1: 0b000, 3: 0b110, 5: 0b100, 7: 0b010}
+
+
+def fraction_class(r, place):
+    """Reference class of a rational from its exact unit part, built with Fraction."""
+    r = Fraction(r)
+    p = place.p
+    if p is None:
+        return 1 if r < 0 else 0
+    num, den, v = r.numerator, r.denominator, 0
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    if p == 2:
+        return (v & 1) | _MOD8_BITS[num * pow(den, -1, 8) % 8]
+    u = num * pow(den, -1, p) % p
+    return (v & 1) | (0 if pow(u, (p - 1) // 2, p) == 1 else 2)
 
 
 def hilbert_rational(a, b, place):
@@ -213,3 +233,25 @@ def test_hilbert_product_formula_property(a, b):
     for p in support:
         prod *= hilbert_rational(a, b, finite_place(p))
     assert prod == 1
+
+
+@settings(derandomized, max_examples=300)
+@given(r=rationals, place=st.sampled_from(PLACES))
+def test_local_class_matches_fraction_reference(r, place):
+    assert local_class(r, place) == fraction_class(r, place)
+
+
+@settings(derandomized, max_examples=300)
+@given(
+    a=st.integers(-10**4, 10**4),
+    j=st.integers(0, 6),
+    e=st.integers(-50, 50),
+    place=st.sampled_from(PLACES),
+)
+def test_sampler_identity_matches_fraction_reference(a, j, e, place):
+    # a sample x = a/q with q a power of the place's prime (2 at infinity):
+    # x - e has the class of (a - e q) q
+    q = (place.p or 2) ** j
+    w = a - e * q
+    assume(w != 0)
+    assert local_class(w * q, place) == fraction_class(Fraction(a, q) - e, place)

@@ -12,7 +12,6 @@ from twoselmer.selmer import (
     duality_check,
     frobenius_eval,
     selmer_group,
-    strict_relaxed_dims,
 )
 from twoselmer.zarith import squarefree_value
 
@@ -53,6 +52,12 @@ def test_sign_mask_drops_by_one(corpus):
         base = selmer_group(SelmerSpec(m)).dim
         masked = selmer_group(SelmerSpec(m, {REAL_PLACE: SIGN}), verify=True).dim
         assert masked == base - 1
+
+
+def strict_relaxed_dims(spec, T):
+    """(dim Sel_{2,T}, dim Sel_2^T) as duality_check reports them."""
+    _, rep = duality_check(spec, T)
+    return rep["dim_strict"], rep["dim_relaxed"]
 
 
 def test_strict_relaxed_examples(m101):

@@ -3,17 +3,22 @@ from fractions import Fraction
 
 import pytest
 
+from twoselmer.padic import finite_place, local_class
 from twoselmer.zarith import (
     FactoredInteger,
     factorize,
     is_prime,
     is_squarefree,
     legendre,
-    squarefree_decompose,
     squarefree_value,
-    unit_part,
     valuation,
 )
+
+
+def squarefree_decompose(r):
+    """(sign, squarefree prime support) of a nonzero rational a/b, read from ab."""
+    v = squarefree_value(r.numerator * r.denominator)
+    return (1 if v > 0 else -1), frozenset(p for p, _ in factorize(abs(v)).factors)
 
 
 def test_is_prime_small():
@@ -40,7 +45,10 @@ def test_factorize_round_trip():
     for _ in range(50):
         n = rng.randint(1, 10**9) * rng.choice([1, -1])
         f = factorize(n)
-        assert f.reconstruct() == n
+        product = f.sign
+        for p, e in f.factors:
+            product *= p**e
+        assert product == n
         for p, _ in f.factors:
             assert is_prime(p)
 
@@ -51,15 +59,21 @@ def test_factorize_rejects_zero():
 
 
 def test_valuation_examples():
-    assert valuation(Fraction(9, 2), 3) == 2
-    assert valuation(Fraction(9, 2), 2) == -1
+    assert valuation(18, 3) == 2
+    assert valuation(-48, 2) == 4
     assert valuation(1, 5) == 0
     assert valuation(1, 997) == 0
+    with pytest.raises(ValueError):
+        valuation(0, 3)
+    # v_3(9/2) = 2 and v_2(9/2) = -1: the class of 9/2 is read from 18
+    assert local_class(Fraction(9, 2), finite_place(3)) & 1 == 0
+    assert local_class(Fraction(9, 2), finite_place(2)) & 1 == 1
 
 
 def test_unit_part():
-    assert unit_part(Fraction(9, 2), 3) == Fraction(1, 2)
-    assert unit_part(48, 2) == 3
+    # 9/2 = 3^2 * (1/2) and 48 = 2^4 * 3: a class depends on the unit part only
+    assert local_class(Fraction(9, 2), finite_place(3)) == local_class(Fraction(1, 2), finite_place(3))
+    assert local_class(48, finite_place(2)) == local_class(3, finite_place(2))
 
 
 def test_legendre_examples():
@@ -70,8 +84,11 @@ def test_legendre_examples():
 
 def test_legendre_fraction():
     # 1/2 is a square mod 7 iff 2 is (inverse of a square is a square)
-    assert legendre(Fraction(1, 2), 7) == legendre(2, 7)
-    assert legendre(Fraction(3, 5), 7) == legendre(3, 7) * legendre(5, 7)
+    p7 = finite_place(7)
+    assert local_class(Fraction(1, 2), p7) == local_class(2, p7)
+    assert (local_class(Fraction(3, 5), p7) >> 1) == (legendre(3, 7) * legendre(5, 7) == -1)
+    with pytest.raises(ValueError):
+        local_class(Fraction(0, 5), p7)
 
 
 def test_legendre_multiplicative():
@@ -98,8 +115,9 @@ def test_squarefree_decompose_square_invariance():
 
 def test_squarefree_value():
     assert squarefree_value(12) == 3
-    assert squarefree_value(Fraction(-9, 2)) == -2
+    assert squarefree_value(-18) == -2  # the class of -9/2
     assert squarefree_value(1) == 1
+    assert squarefree_value(-1) == -1
 
 
 def test_is_squarefree():
