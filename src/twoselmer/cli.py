@@ -84,14 +84,8 @@ def _load_model(args) -> FullTwoTorsionModel:
 
 def cmd_descent(args) -> int:
     model = _load_model(args)
-    masks = dict(_parse_mask(m) for m in args.mask or [])
-    if args.twist != 1:
-        if not is_squarefree(args.twist):
-            raise ValueError("--twist must be squarefree and nonzero")
-        spec = twist_spec(model, args.twist)
-        spec.masks.update(masks)
-    else:
-        spec = SelmerSpec(model, masks)
+    spec = twist_spec(model, args.twist)
+    spec.masks.update(_parse_mask(m) for m in args.mask or [])
     result = selmer_group(spec, verify=True)
     record = result.to_record(model, spec.masks)
     record["schema_version"] = SCHEMA_VERSION
@@ -181,7 +175,7 @@ def _random_class(rng: random.Random, place: Place) -> int:
 
 
 def _random_good_prime(rng: random.Random, model: FullTwoTorsionModel) -> int:
-    bad = {v.p for v in sigma_set(model).places if v.p is not None}
+    bad = {v.p for v in sigma_set(model) if v.p is not None}
     return rng.choice([p for p in range(3, 200) if is_prime(p) and p not in bad])
 
 
@@ -197,13 +191,13 @@ def run_verify_suite(model: FullTwoTorsionModel, suite: str, trials: int, seed: 
             ok = chk["equal"]
             detail = {"d": d, "lhs": chk["lhs"], "rhs": chk["rhs"]}
         elif suite == "duality":
-            pool = list(sigma.places) + [Place(p) for p in (3, 5, 7, 11, 13) if Place(p) not in sigma.places]
+            pool = list(sigma) + [Place(p) for p in (3, 5, 7, 11, 13) if Place(p) not in sigma]
             size = rng.randint(0, 2)
             T = frozenset(rng.sample(pool, size))
             ok, rep = duality_check(SelmerSpec(model), T)
             detail = rep
         elif suite == "isotropy":
-            v = rng.choice(list(sigma.places) + [Place(p) for p in (3, 5, 7) if Place(p) not in sigma.places])
+            v = rng.choice(list(sigma) + [Place(p) for p in (3, 5, 7) if Place(p) not in sigma])
             cls = _random_class(rng, v)
             img = kummer_image(model, cls, v)
             iso = all(
@@ -223,7 +217,7 @@ def run_verify_suite(model: FullTwoTorsionModel, suite: str, trials: int, seed: 
             ok = h == 2 and not inter
             detail = {"q": q, "h": h, "intersection_dim": len(inter)}
         elif suite == "babo":
-            q = rng.choice(list(sigma.places) + [Place(p) for p in (3, 5, 7, 11) if Place(p) not in sigma.places])
+            q = rng.choice(list(sigma) + [Place(p) for p in (3, 5, 7, 11) if Place(p) not in sigma])
             c1, c2 = _random_class(rng, q), _random_class(rng, q)
             r1 = selmer_group(SelmerSpec(model, {q: c1})).dim
             r2 = selmer_group(SelmerSpec(model, {q: c2})).dim

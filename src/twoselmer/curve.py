@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import isqrt, lcm
 
 from .padic import Place, REAL_PLACE, local_class
@@ -67,29 +68,12 @@ class LongModel:
         return -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
 
 
-@dataclass(frozen=True)
-class SigmaSet:
-    """Ordered places: the real place, 2, then odd bad primes ascending."""
-
-    places: tuple[Place, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.places)
-
-    @property
-    def odd_primes(self) -> tuple[int, ...]:
-        return tuple(v.p for v in self.places if v.p is not None and v.p != 2)
-
-    def __contains__(self, place: Place) -> bool:
-        return place in self.places
-
-
-def sigma_set(model: FullTwoTorsionModel) -> SigmaSet:
-    """{inf, 2} plus the odd primes dividing the discriminant."""
+@cache
+def sigma_set(model: FullTwoTorsionModel) -> tuple[Place, ...]:
+    """The places of Sigma in order: inf, 2, then the odd primes dividing the
+    discriminant ascending.  Computed once per model."""
     bad = {p for p, _ in factorize(model.discriminant).factors if p != 2}
-    places = [REAL_PLACE, Place(2)] + [Place(p) for p in sorted(bad)]
-    return SigmaSet(tuple(places))
+    return (REAL_PLACE, Place(2), *(Place(p) for p in sorted(bad)))
 
 
 def twist(model: FullTwoTorsionModel, d: int) -> FullTwoTorsionModel:
@@ -172,7 +156,7 @@ def four_torsion_rational_at(model: FullTwoTorsionModel, q: int) -> bool:
     """
     if q == 2 or not is_prime(q):
         raise ValueError("q must be an odd prime")
-    if Place(q) in sigma_set(model).places:
+    if Place(q) in sigma_set(model):
         raise ValueError(f"{q} is a bad place for this model")
     e1, e2, e3 = model.roots
     diffs = (e1 - e2, e1 - e3, e2 - e3, -1)
@@ -207,10 +191,17 @@ def require_full_model(parsed: FullTwoTorsionModel | LongModel) -> FullTwoTorsio
 
 
 def local_twist_classes(model: FullTwoTorsionModel, d: int) -> dict[Place, int]:
-    """Nontrivial local classes of a squarefree twist d at Sigma and at p | d."""
-    places = list(sigma_set(model).places)
+    """Nontrivial local classes of a twist d at Sigma and at the primes of d.
+
+    The one check of a twist parameter: raises ValueError unless d is a
+    nonzero squarefree integer, read from the one factorization of d.
+    """
+    factors = factorize(d).factors if d else None
+    if factors is None or any(e > 1 for _, e in factors):
+        raise ValueError(f"twist parameter must be a nonzero squarefree integer, got {d}")
+    places = list(sigma_set(model))
     sigma_primes = {v.p for v in places}
-    for p, _ in factorize(d).factors:
+    for p, _ in factors:
         if p not in sigma_primes:
             places.append(Place(p))
     out = {}

@@ -61,12 +61,12 @@ class SelmerResult:
         gens = _generators(self.sigma_prime)
         return [(_value(gens, vec), _value(gens, vec >> len(gens))) for vec in self.basis]
 
-    def to_record(self, model: FullTwoTorsionModel, masks: dict | None = None) -> dict:
+    def to_record(self, model: FullTwoTorsionModel, masks: dict[Place, int]) -> dict:
         return {
             "curve": str(model),
             "sigma_prime": [str(v) for v in self.sigma_prime],
             "masks": {
-                str(v): [(c >> i) & 1 for i in range(v.width)] for v, c in (masks or {}).items()
+                str(v): [(c >> i) & 1 for i in range(v.width)] for v, c in masks.items()
             },
             "dim": self.dim,
             "basis": [[a, b] for a, b in self.basis_values()],
@@ -74,7 +74,7 @@ class SelmerResult:
 
 
 def _sigma_prime(spec: SelmerSpec) -> tuple[Place, ...]:
-    places = set(sigma_set(spec.model).places)
+    places = set(sigma_set(spec.model))
     places.update(spec.masks)
     places.update(spec.strict)
     places.update(spec.relaxed)

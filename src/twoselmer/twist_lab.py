@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterator
 
 from .curve import (
@@ -23,7 +24,7 @@ from .errors import SearchBudgetExceeded, SoundnessAlarm
 from .local_descent import h_v
 from .padic import Place, REAL_PLACE, local_class
 from .selmer import DEFAULT_PRIME_BUDGET, SelmerSpec, selmer_group
-from .zarith import is_prime, is_squarefree, legendre
+from .zarith import is_prime, is_squarefree, legendre, valuation
 
 log = logging.getLogger(__name__)
 
@@ -69,19 +70,17 @@ def twist_spec(model: FullTwoTorsionModel, d: int) -> SelmerSpec:
 
 
 def rank_of_twist(model: FullTwoTorsionModel, d: int) -> int:
-    if d == 0 or not is_squarefree(d):
-        raise ValueError("twist parameter must be a nonzero squarefree integer")
     return selmer_group(twist_spec(model, d)).dim
 
 
+@cache
 def base_rank(model: FullTwoTorsionModel) -> int:
+    """r2(E), computed once per model."""
     return selmer_group(SelmerSpec(model)).dim
 
 
 def parity_check(model: FullTwoTorsionModel, d: int) -> dict:
     """Kramer parity: (r2(E) - r2(E^d)) mod 2 vs sum of local norm indices."""
-    if d == 0 or not is_squarefree(d):
-        raise ValueError("twist parameter must be a nonzero squarefree integer")
     r0 = base_rank(model)
     spec = twist_spec(model, d)
     result = selmer_group(spec)
@@ -114,7 +113,7 @@ def _primes(start: int = 2) -> Iterator[int]:
 def _matches_prescription(
     model: FullTwoTorsionModel, d: int, at_sigma: dict[Place, int]
 ) -> bool:
-    for v in sigma_set(model).places:
+    for v in sigma_set(model):
         if local_class(d, v) != at_sigma.get(v, 0):
             return False
     return True
@@ -123,13 +122,11 @@ def _matches_prescription(
 def character_candidates(
     model: FullTwoTorsionModel,
     at_sigma: dict[Place, int],
-    extra_prime: str = "auto",
     budget: int = DEFAULT_PRIME_BUDGET,
 ) -> Iterator[int]:
     """Squarefree d matching local classes at Sigma and ramified outside Sigma
-    at one extra prime q, by ascending q; with ``"auto"`` the d supported on
-    Sigma come first, with ``"require"`` they are skipped."""
-    sigma_primes = [v.p for v in sigma_set(model).places if v.p is not None]
+    at one extra prime q, by ascending q."""
+    sigma_primes = [v.p for v in sigma_set(model) if v.p is not None]
     units = [-1] + sigma_primes
     subsets = []
     for bits in range(1 << len(units)):
@@ -139,10 +136,6 @@ def character_candidates(
                 s *= u
         subsets.append(s)
 
-    if extra_prime == "auto":
-        for s in subsets:
-            if _matches_prescription(model, s, at_sigma):
-                yield s
     count = 0
     for q in _primes(3):
         if q in sigma_primes:
@@ -167,10 +160,9 @@ def find_inc2(model: FullTwoTorsionModel, budget: int = DEFAULT_PRIME_BUDGET) ->
     """
     base = selmer_group(SelmerSpec(model))
     r_before = base.dim
-    sigma = sigma_set(model)
     modulus = 8
-    for p in sigma.odd_primes:
-        modulus *= p
+    for v in sigma_set(model)[2:]:  # the odd primes of Sigma
+        modulus *= v.p
     support_values = set()
     for a, b in base.basis_values():
         support_values.update((a, b))
@@ -206,7 +198,7 @@ def find_plus_one(model: FullTwoTorsionModel, budget: int = DEFAULT_PRIME_BUDGET
         raise SoundnessAlarm(
             f"sign-masked rank {masked} != r - 1 = {r_before - 1}"
         )
-    for d in character_candidates(model, sign_mask, "require", budget):
+    for d in character_candidates(model, sign_mask, budget):
         r_after = rank_of_twist(model, d)
         if r_after == r_before + 1:
             return {
@@ -248,7 +240,7 @@ def summarize(model: FullTwoTorsionModel, bound: int, records: list[TwistRecord]
     gaps = [r for r in range(t_hat, r_max + 1) if r not in hist]
     return ScanSummary(
         bound=bound,
-        n=sigma_set(model).n,
+        n=len(sigma_set(model)),
         records_count=len(records),
         rank_histogram=dict(sorted(hist.items())),
         t_hat=t_hat,
@@ -278,8 +270,6 @@ def multiplicative_h_check(model: FullTwoTorsionModel, v0: int) -> dict:
     residues = sorted({e % v0 for e in model.roots})
     if len(residues) != 2:
         raise ValueError(f"{v0} is not a prime of multiplicative reduction (root residues {residues})")
-    from .zarith import valuation
-
     v_delta = valuation(model.discriminant, v0)
     h = h_v(model, 0b10, place)  # unramified: the non-residue unit class
     return {

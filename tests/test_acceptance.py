@@ -129,10 +129,10 @@ def run_pipeline():
     duality = {"trials": 0, "passed": 0, "failures": []}
     for i in range(50):
         m = FullTwoTorsionModel(CORPUS[i % 3])
-        pool = list(sigma_set(m).places) + [
+        pool = list(sigma_set(m)) + [
             finite_place(p)
             for p in (3, 5, 7, 11, 13, 17)
-            if finite_place(p) not in sigma_set(m).places
+            if finite_place(p) not in sigma_set(m)
         ]
         T = frozenset(rng.sample(pool, rng.randint(0, 2)))
         ok, rep = duality_check(SelmerSpec(m), T)
@@ -162,7 +162,7 @@ def run_pipeline():
     ramhv = {"trials": 0, "passed": 0, "failures": []}
     for roots in CORPUS:
         m = FullTwoTorsionModel(roots)
-        bad_p = {v.p for v in sigma_set(m).places if v.p is not None}
+        bad_p = {v.p for v in sigma_set(m) if v.p is not None}
         primes = [p for p in range(3, 200) if p not in bad_p and is_prime_(p)]
         for _ in range(20):
             q = rng.choice(primes)
@@ -213,9 +213,9 @@ def run_pipeline():
         m = FullTwoTorsionModel(roots)
         recs = [r for r in scans[roots] if abs(r.d) <= 2000]
         summary = summarize(m, 2000, recs)
-        n = sigma_set(m).n
+        n = len(sigma_set(m))
         masked_ranks = []
-        for v in sigma_set(m).places:
+        for v in sigma_set(m):
             for bits in range(1, 1 << v.width):
                 dim = selmer_group(SelmerSpec(m, {v: bits})).dim
                 masked_ranks.append({"place": str(v), "bits": bits, "dim": dim})
@@ -234,7 +234,7 @@ def run_pipeline():
         if rec.d <= 0:
             continue
         tm = twist(m101, rec.d)
-        n_prime = sigma_set(tm).n
+        n_prime = len(sigma_set(tm))
         k = rec.rank - n_prime
         if k >= 2:
             witness = (rec.d, rec.rank, n_prime, k)

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import twoselmer.curve
+import twoselmer.zarith
 from twoselmer.cli import main
 
 
@@ -37,6 +39,20 @@ def test_descent_twist(capsys):
     assert last_json(out)["dim"] == 4
 
 
+def test_descent_twist_factors_d_once(capsys, monkeypatch):
+    d = 1000000000039
+    seen = []
+    for module in (twoselmer.zarith, twoselmer.curve):
+        def counting(n, _factorize=module.factorize):
+            seen.append(n)
+            return _factorize(n)
+
+        monkeypatch.setattr(module, "factorize", counting)
+    code, _ = run(capsys, "descent", "--curve=0,1,5", f"--twist={d}")
+    assert code == 0
+    assert seen.count(d) == 1
+
+
 def test_descent_rejects_non_full_torsion(capsys):
     code = main(["descent", "--curve=[1,-128,0,-48,-4]"])
     assert code == 1
@@ -48,6 +64,8 @@ def test_descent_usage_errors(capsys):
     assert main(["descent", "--curve=bogus"]) == 1
     capsys.readouterr()
     assert main(["descent", "--curve=-1,0,1", "--twist=12"]) == 1
+    capsys.readouterr()
+    assert main(["descent", "--curve=-1,0,1", "--twist=0"]) == 1
     capsys.readouterr()
     assert main(["descent", "--curve=-1,0,1", "--mask", "5"]) == 1
     capsys.readouterr()

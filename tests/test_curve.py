@@ -32,12 +32,12 @@ def test_model_normalizes_root_order():
 
 
 def test_sigma_set_examples():
-    assert [str(v) for v in sigma_set(FullTwoTorsionModel((-1, 0, 1))).places] == ["inf", "2"]
-    assert sigma_set(FullTwoTorsionModel((-1, 0, 1))).n == 2
-    assert [str(v) for v in sigma_set(FullTwoTorsionModel((0, 1, 2))).places] == ["inf", "2"]
+    assert [str(v) for v in sigma_set(FullTwoTorsionModel((-1, 0, 1)))] == ["inf", "2"]
+    assert len(sigma_set(FullTwoTorsionModel((-1, 0, 1)))) == 2
+    assert [str(v) for v in sigma_set(FullTwoTorsionModel((0, 1, 2)))] == ["inf", "2"]
     s = sigma_set(FullTwoTorsionModel((-5, 0, 5)))
-    assert [str(v) for v in s.places] == ["inf", "2", "5"]
-    assert s.n == 3
+    assert [str(v) for v in s] == ["inf", "2", "5"]
+    assert len(s) == 3
 
 
 def test_twist_examples():
@@ -53,9 +53,9 @@ def test_twist_examples():
 
 def test_sigma_of_twist_superset():
     m = FullTwoTorsionModel((-1, 0, 1))
-    base = set(sigma_set(m).places)
+    base = set(sigma_set(m))
     for d in (5, -21, 2, 33):
-        tw = set(sigma_set(twist(m, d)).places)
+        tw = set(sigma_set(twist(m, d)))
         assert tw >= base
         extra = {v.p for v in tw - base}
         assert extra == {p for p in (3, 5, 7, 11) if d % p == 0}
@@ -164,3 +164,6 @@ def test_local_twist_classes():
         assert cls == local_class(-21, v)
         assert cls != 0
     assert local_twist_classes(m, 1) == {}
+    for d in (12, 0):
+        with pytest.raises(ValueError):
+            local_twist_classes(m, d)

@@ -103,7 +103,7 @@ def test_h_v_examples(corpus):
     for q in (3, 7, 13):
         p = finite_place(q)
         for m in corpus:
-            if q in {v.p for v in sigma_set(m).places}:
+            if q in {v.p for v in sigma_set(m)}:
                 continue
             assert h_v(m, 0b01, p) == 2
             assert h_v(m, 0b11, p) == 2
@@ -112,7 +112,7 @@ def test_h_v_examples(corpus):
 def test_ramhv_intersection_trivial(corpus):
     rng = random.Random(11)
     for m in corpus:
-        bad = {v.p for v in sigma_set(m).places if v.p is not None}
+        bad = {v.p for v in sigma_set(m) if v.p is not None}
         primes = [p for p in (3, 7, 11, 13, 17, 19, 23) if p not in bad]
         for _ in range(10):
             q = rng.choice(primes)

@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import pytest
 
 from twoselmer.curve import FullTwoTorsionModel, sigma_set, twist
 from twoselmer.padic import REAL_PLACE, finite_place, local_class
 from twoselmer.selmer import SelmerSpec, selmer_group
+import twoselmer.twist_lab
 from twoselmer.twist_lab import (
     base_rank,
     character_candidates,
@@ -14,6 +16,7 @@ from twoselmer.twist_lab import (
     parity_check,
     rank_of_twist,
     scan,
+    scan_records,
     squarefree_twists,
     twist_spec,
 )
@@ -57,20 +60,27 @@ def test_parity_small_range(corpus):
 
 def test_build_character_examples():
     m33 = FullTwoTorsionModel((-3, 0, 3))  # Sigma = {inf, 2, 3}
-    assert [str(v) for v in sigma_set(m33).places] == ["inf", "2", "3"]
+    assert [str(v) for v in sigma_set(m33)] == ["inf", "2", "3"]
     d = next(character_candidates(m33, {REAL_PLACE: SIGN}))
     assert d == -23
 
     m101 = FullTwoTorsionModel((-1, 0, 1))
-    assert next(character_candidates(m101, {})) == 1
-    assert next(character_candidates(m101, {}, extra_prime="require")) == 17
+    # of the d supported on Sigma = {inf, 2}, only 1 is trivial at every place
+    units = [-1] + [v.p for v in sigma_set(m101) if v.p is not None]
+    supported = [
+        math.prod(u for i, u in enumerate(units) if (bits >> i) & 1)
+        for bits in range(1 << len(units))
+    ]
+    trivial = [s for s in supported if all(local_class(s, v) == 0 for v in sigma_set(m101))]
+    assert trivial == [1]
+    assert next(character_candidates(m101, {})) == 17
 
 
 def test_build_character_matches_prescription():
     m = FullTwoTorsionModel((0, 1, 5))
     pres = {REAL_PLACE: SIGN, finite_place(5): 0b10}
-    d = next(character_candidates(m, pres, extra_prime="require"))
-    for v in sigma_set(m).places:
+    d = next(character_candidates(m, pres))
+    for v in sigma_set(m):
         assert local_class(d, v) == pres.get(v, 0)
 
 
@@ -105,6 +115,19 @@ def test_scan_small(m101):
     assert summary.records_count == len(records)
     with pytest.raises(ValueError):
         scan(m101, 0)
+
+
+def test_scan_records_builds_base_group_once(monkeypatch):
+    m = FullTwoTorsionModel((0, 1, 5))
+    calls = []
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec)
+        return selmer_group(spec, *args, **kwargs)
+
+    monkeypatch.setattr(twoselmer.twist_lab, "selmer_group", counting)
+    records = list(scan_records(m, 20))
+    assert len(calls) <= len(records) + 1
 
 
 def test_scan_rank_flip_babo(m101):
