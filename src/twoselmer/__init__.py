@@ -3,7 +3,7 @@
 from .curve import FullTwoTorsionModel, LongModel, sigma_set, twist
 from .padic import Place, REAL_PLACE
 from .selmer import SelmerSpec, SelmerResult, selmer_group
-from .twist_lab import parity_check, rank_of_twist, scan
+from .twist_lab import parity_check, rank_of_twist
 
 __all__ = [
     "FullTwoTorsionModel",
@@ -14,7 +14,6 @@ __all__ = [
     "SelmerSpec",
     "parity_check",
     "rank_of_twist",
-    "scan",
     "selmer_group",
     "sigma_set",
     "twist",

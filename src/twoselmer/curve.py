@@ -169,7 +169,10 @@ def parse_curve(text: str) -> FullTwoTorsionModel | LongModel:
     if text.startswith("["):
         if not text.endswith("]"):
             raise ValueError(f"malformed long model: {text!r}")
-        parts = [Fraction(t.strip()) for t in text[1:-1].split(",")]
+        try:
+            parts = [Fraction(t.strip()) for t in text[1:-1].split(",")]
+        except ZeroDivisionError:
+            raise ValueError(f"long model {text!r} has a zero denominator") from None
         if len(parts) != 5:
             raise ValueError("long model needs exactly [a1,a2,a3,a4,a6]")
         return LongModel(*parts)

@@ -82,28 +82,5 @@ def kernel_basis(rows: list[int], width: int) -> list[int]:
     return basis
 
 
-def intersect(basis_a: list[int], basis_b: list[int], width: int) -> list[int]:
-    """Basis of span(A) ∩ span(B)."""
-    rows = list(basis_a) + list(basis_b)
-    na = len(basis_a)
-    mask = (1 << width) - 1
-    span = Span()
-    out: list[int] = []
-    for i, r in enumerate(rows):
-        aug = r | (1 << (width + i))
-        red = span.reduce(aug)
-        if red & mask:
-            span.add(red)
-        else:
-            coeffs = red >> width
-            v = 0
-            for j in range(na):
-                if (coeffs >> j) & 1:
-                    v ^= basis_a[j]
-            if v:
-                out.append(v)
-    return reduce_rows(out)
-
-
 def dot(a: int, b: int) -> int:
     return (a & b).bit_count() & 1

@@ -1,15 +1,14 @@
 """Local Kummer images alpha_v(chi), their dimensions and the norm index h_v.
 
-The image for a local twist class is generated by the 2-torsion cocycles
-plus images of sampled local points; sampling stops as soon as the known
-a-priori dimension is reached, so the result is certified rather than
-heuristic.  Images are cached per (model, place, twist class): a twist's
-local conditions depend only on its local square class.
+An image is its basis, a tuple of cocycles: the 2-torsion cocycles plus
+images of sampled local points, until the known a-priori dimension is
+reached, so the basis is certified and its length is the dimension.  Images
+are cached per (model, place, twist class), since a twist's local conditions
+depend only on its local square class.  h_v is read from one rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from . import gf2
@@ -18,18 +17,6 @@ from .errors import SamplingBudgetExceeded
 from .padic import Place, local_class, nonresidue, representative
 
 DEFAULT_SAMPLING_BUDGET = 10**5
-
-
-@dataclass(frozen=True)
-class LocalImage:
-    """F2-subspace alpha_v of the local cocycle space, with a certified basis."""
-
-    place: Place
-    basis: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
 
 def _torsion_cocycles(roots: tuple[int, int, int], place: Place) -> list[int]:
@@ -80,11 +67,11 @@ def _sample_x(place: Place, roots: tuple[int, int, int]) -> Iterator[tuple[int, 
         a += 1
 
 
-_image_cache: dict[tuple, LocalImage] = {}
+_image_cache: dict[tuple, tuple[int, ...]] = {}
 
 
-def kummer_image(model: FullTwoTorsionModel, d_class: int, place: Place) -> LocalImage:
-    """alpha_v for the local twist by d_class, in the ambient E[2] coordinates."""
+def kummer_image(model: FullTwoTorsionModel, d_class: int, place: Place) -> tuple[int, ...]:
+    """Certified basis of alpha_v for the local twist by d_class, in E[2] coordinates."""
     if not 0 <= d_class < 1 << place.width:
         raise ValueError(f"class {d_class} out of range at {place}")
     key = (model.roots, place, d_class)
@@ -133,19 +120,19 @@ def kummer_image(model: FullTwoTorsionModel, d_class: int, place: Place) -> Loca
         else:  # pragma: no cover - the sampler streams are infinite at finite places
             raise SamplingBudgetExceeded("sample stream exhausted")
 
-    image = LocalImage(place, tuple(basis))
+    image = tuple(basis)
     _image_cache[key] = image
     return image
 
 
 def h_v(model: FullTwoTorsionModel, d_class: int, place: Place) -> int:
-    """Kramer's local norm index: dim alpha_v(1) - dim(alpha_v(1) ∩ alpha_v(chi))."""
+    """Kramer's local norm index h_v = dim alpha_v(1) - dim(alpha_v(1) ∩ alpha_v(chi))."""
     if not d_class:
         return 0
     a1 = kummer_image(model, 0, place)
     ax = kummer_image(model, d_class, place)
-    inter = gf2.intersect(a1.basis, ax.basis, 2 * place.width)
-    return a1.dim - len(inter)
+    # dim A - dim(A ∩ B) = dim(A + B) - dim B
+    return gf2.rank([*a1, *ax]) - len(ax)
 
 
 def clear_image_cache() -> None:

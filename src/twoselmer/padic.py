@@ -57,16 +57,13 @@ class Place:
 REAL_PLACE = Place(None)
 
 
-def finite_place(p: int) -> Place:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return Place(p)
-
-
 def parse_place(text: str) -> Place:
     if text in ("inf", "oo", "infinity"):
         return REAL_PLACE
-    return finite_place(int(text))
+    p = int(text)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return Place(p)
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from functools import cache
+from math import isqrt
 from typing import Iterator
 
 from .curve import (
@@ -24,7 +25,7 @@ from .errors import SearchBudgetExceeded, SoundnessAlarm
 from .local_descent import h_v
 from .padic import Place, REAL_PLACE, local_class
 from .selmer import DEFAULT_PRIME_BUDGET, SelmerSpec, selmer_group
-from .zarith import is_prime, is_squarefree, legendre, valuation
+from .zarith import is_prime, legendre
 
 log = logging.getLogger(__name__)
 
@@ -36,7 +37,7 @@ class TwistRecord:
     parity_lhs: int
     parity_rhs: int
     sigma_prime_size: int
-    ms: int = 0
+    ms: int
 
     @property
     def parity_ok(self) -> bool:
@@ -53,15 +54,14 @@ class ScanSummary:
     r_max: int
     gaps: list[int]
     parity_failures: int
-    bound_checks: dict[str, bool] = field(default_factory=dict)
+    bound_checks: dict[str, bool] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.bound_checks:
-            self.bound_checks = {
-                "t_hat_ge_2": self.t_hat >= 2,
-                "t_hat_le_n_plus_1": self.t_hat <= self.n + 1,
-                "t_hat_le_n": self.t_hat <= self.n,
-            }
+        self.bound_checks = {
+            "t_hat_ge_2": self.t_hat >= 2,
+            "t_hat_le_n_plus_1": self.t_hat <= self.n + 1,
+            "t_hat_le_n": self.t_hat <= self.n,
+        }
 
 
 def twist_spec(model: FullTwoTorsionModel, d: int) -> SelmerSpec:
@@ -212,8 +212,13 @@ def find_plus_one(model: FullTwoTorsionModel, budget: int = DEFAULT_PRIME_BUDGET
 
 def squarefree_twists(bound: int) -> Iterator[int]:
     """d by increasing |d|, positive before negative."""
+    # a sieve of square divisors: clear every multiple of k^2, 2 <= k <= sqrt(bound)
+    squarefree = bytearray([1]) * (bound + 1)
+    for k in range(2, isqrt(max(bound, 0)) + 1):
+        for a in range(k * k, bound + 1, k * k):
+            squarefree[a] = 0
     for a in range(1, bound + 1):
-        if is_squarefree(a):
+        if squarefree[a]:
             yield a
             yield -a
 
@@ -248,35 +253,3 @@ def summarize(model: FullTwoTorsionModel, bound: int, records: list[TwistRecord]
         gaps=gaps,
         parity_failures=failures,
     )
-
-
-def scan(model: FullTwoTorsionModel, bound: int) -> tuple[list[TwistRecord], ScanSummary]:
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    records = list(scan_records(model, bound))
-    return records, summarize(model, bound, records)
-
-
-def multiplicative_h_check(model: FullTwoTorsionModel, v0: int) -> dict:
-    """h at an odd multiplicative prime for the unramified nontrivial class.
-
-    For full 2-torsion models v(Delta) is even (Delta is 16 times a square),
-    so the norm index is 1; the odd-valuation branch cannot occur here and
-    is reported as unreachable rather than skipped silently.
-    """
-    place = Place(v0)
-    if v0 == 2 or not is_prime(v0):
-        raise ValueError("v0 must be an odd prime")
-    residues = sorted({e % v0 for e in model.roots})
-    if len(residues) != 2:
-        raise ValueError(f"{v0} is not a prime of multiplicative reduction (root residues {residues})")
-    v_delta = valuation(model.discriminant, v0)
-    h = h_v(model, 0b10, place)  # unramified: the non-residue unit class
-    return {
-        "v0": v0,
-        "v_delta": v_delta,
-        "h": h,
-        "h_trivial": h_v(model, 0, place),
-        "even_branch_ok": v_delta % 2 == 0 and h == 1,
-        "odd_branch": "unreachable for full 2-torsion models (v(Delta) is always even)",
-    }

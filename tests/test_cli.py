@@ -249,3 +249,21 @@ def test_bound_command(tmp_path, capsys):
     doc = last_json(text)
     assert doc["n"] == 2 and doc["two_n_cap"] == 4 and doc["t_hat"] == 2
     assert all(doc["bound_checks"].values())
+
+
+def test_descent_rejects_zero_denominator_in_curve(capsys):
+    assert main(["descent", "--curve=[0,0,0,1/0,0]"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_descent_rejects_zero_denominator_in_mask(capsys):
+    assert main(["descent", "--curve=-1,0,1", "--mask", "inf=2/0"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("doc", [{"n": 3}, [1, 2]])
+def test_bound_rejects_malformed_summary(tmp_path, capsys, doc):
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bound", "--summary", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

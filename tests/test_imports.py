@@ -2,11 +2,14 @@
 
 Neither ruff nor pyflakes is a dependency.  Every name a module imports must
 appear as a ``Name`` somewhere in the module or be re-exported through
-``__all__``, and rationals enter only through the input parsers.
+``__all__``, rationals enter only through the input parsers, and every
+public function or class is used by the package itself or exported.
 """
 
 import ast
 from pathlib import Path
+
+import twoselmer
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "twoselmer"
 
@@ -55,3 +58,49 @@ def test_fractions_only_in_input_parsers():
     # every square class is read from an integer
     found = [p.name for p in sorted(SRC.glob("*.py")) if imports_fractions(p.read_text())]
     assert found == ["cli.py", "curve.py"]
+
+
+# public definitions that the package does not call, each with the reason it stays
+NOT_CALLED_BY_THE_PACKAGE = {
+    "clear_image_cache": "the benchmark empties the image cache between passes",
+    "collapse_masks": "the paper's rank-lowering step, checked by acceptance criterion 10",
+}
+
+
+def unreferenced_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """Public top-level functions and classes that no module names outside their own body.
+
+    References are matched by name (a ``Name`` or an attribute), as in the
+    unused-import check; a recursive call does not count as a use.
+    """
+    defined: list[str] = []
+    used: set[str] = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if not own.startswith("_"):
+                    defined.append(f"{module}.{own}")
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id != own:
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    used.add(node.attr)
+    return sorted(d for d in defined if d.split(".")[1] not in used | exported)
+
+
+def test_unreferenced_definition_check():
+    sources = {
+        "a": "def used(): pass\ndef unused(): pass\ndef _private(): pass\n"
+        "def rec(n): return rec(n - 1)\nclass Exported: pass\ndef attr(): pass\n",
+        "b": "import a\nfrom a import used\nused()\na.attr()\n",
+    }
+    assert unreferenced_definitions(sources, {"Exported"}) == ["a.rec", "a.unused"]
+
+
+def test_no_test_only_library_code():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    found = unreferenced_definitions(sources, set(twoselmer.__all__))
+    # an entry that gains a caller leaves the list
+    assert {d.split(".")[1] for d in found} == set(NOT_CALLED_BY_THE_PACKAGE), found

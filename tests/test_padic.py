@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from twoselmer import gf2
 from twoselmer.padic import (
+    Place,
     REAL_PLACE,
-    finite_place,
     hilbert,
     local_class,
     local_pairing,
@@ -18,7 +18,7 @@ from twoselmer.padic import (
 from twoselmer.selmer import restriction
 from twoselmer.zarith import factorize
 
-PLACES = [REAL_PLACE, finite_place(2), finite_place(3), finite_place(5), finite_place(13)]
+PLACES = [REAL_PLACE, Place(2), Place(3), Place(5), Place(13)]
 
 
 _MOD8_BITS = {1: 0b000, 3: 0b110, 5: 0b100, 7: 0b010}
@@ -51,24 +51,24 @@ def is_local_square(r, place):
 
 def test_place_basics():
     assert REAL_PLACE.is_infinite and REAL_PLACE.width == 1
-    assert finite_place(2).width == 3
-    assert finite_place(5).width == 2
+    assert Place(2).width == 3
+    assert Place(5).width == 2
     assert parse_place("inf") == REAL_PLACE
-    assert parse_place("7") == finite_place(7)
+    assert parse_place("7") == Place(7)
     with pytest.raises(ValueError):
-        finite_place(6)
+        parse_place("6")
 
 
 def test_local_class_examples():
     # 18 = 2 * 3^2: even valuation at 3, unit part 2 is a non-residue mod 3
-    assert local_class(18, finite_place(3)) == 0b10
+    assert local_class(18, Place(3)) == 0b10
     assert local_class(-4, REAL_PLACE) == 0b1
     # 17 = 1 mod 8 is a 2-adic square
-    assert local_class(17, finite_place(2)) == 0
+    assert local_class(17, Place(2)) == 0
 
 
 def test_local_class_two_adic_units():
-    p2 = finite_place(2)
+    p2 = Place(2)
     # bit 0: valuation parity, bit 1: the -1 coordinate, bit 2: the 5 coordinate
     assert local_class(1, p2) == 0
     assert local_class(3, p2) == 0b110
@@ -78,7 +78,7 @@ def test_local_class_two_adic_units():
 
 
 def test_class_group_law():
-    p = finite_place(5)
+    p = Place(5)
     a = local_class(5, p)
     b = local_class(Fraction(2, 5), p)
     assert (a ^ b) == local_class(2, p)
@@ -86,11 +86,11 @@ def test_class_group_law():
 
 
 def test_is_local_square():
-    assert is_local_square(17, finite_place(2))
-    assert not is_local_square(3, finite_place(2))
+    assert is_local_square(17, Place(2))
+    assert not is_local_square(3, Place(2))
     assert is_local_square(4, REAL_PLACE)
     assert not is_local_square(-4, REAL_PLACE)
-    assert is_local_square(Fraction(4, 9), finite_place(5))
+    assert is_local_square(Fraction(4, 9), Place(5))
 
 
 def test_nonresidue():
@@ -101,9 +101,9 @@ def test_nonresidue():
 
 def test_hilbert_examples():
     assert hilbert_rational(-1, -1, REAL_PLACE) == -1
-    assert hilbert_rational(-1, -1, finite_place(2)) == -1
+    assert hilbert_rational(-1, -1, Place(2)) == -1
     for b in (-1, 2, 3, 5, -6):
-        for v in (REAL_PLACE, finite_place(2), finite_place(3)):
+        for v in (REAL_PLACE, Place(2), Place(3)):
             assert hilbert_rational(1, b, v) == 1
 
 
@@ -117,12 +117,12 @@ def test_hilbert_minus_one_minus_one_at_two_by_exhaustion():
         if (z * z + x * x + y * y) % 8 == 0 and (z % 2 or x % 2 or y % 2)
     ]
     assert not sols
-    assert hilbert_rational(-1, -1, finite_place(2)) == -1
+    assert hilbert_rational(-1, -1, Place(2)) == -1
 
 
 def test_hilbert_symmetry_and_bimultiplicativity():
     rng = random.Random(7)
-    places = [REAL_PLACE, finite_place(2), finite_place(3), finite_place(5)]
+    places = [REAL_PLACE, Place(2), Place(3), Place(5)]
     vals = [-1, 1, 2, 3, 5, 6, -10, Fraction(3, 5)]
     for _ in range(200):
         v = rng.choice(places)
@@ -143,12 +143,12 @@ def test_hilbert_product_formula():
             support.update(p for p, _ in factorize(n).factors)
         prod = hilbert_rational(a, b, REAL_PLACE)
         for p in support:
-            prod *= hilbert_rational(a, b, finite_place(p))
+            prod *= hilbert_rational(a, b, Place(p))
         assert prod == 1
 
 
 def test_local_pairing_examples():
-    p = finite_place(5)
+    p = Place(5)
     x = local_class(5, p)  # (5, 1)
     assert local_pairing(p, x, x) == 0
     u = nonresidue(5)
@@ -159,7 +159,7 @@ def test_local_pairing_examples():
 
 
 def test_local_pairing_nondegenerate():
-    for place in (REAL_PLACE, finite_place(3), finite_place(5), finite_place(2)):
+    for place in (REAL_PLACE, Place(3), Place(5), Place(2)):
         dim = 2 * place.width
         basis = [1 << i for i in range(dim)]
         gram = []
@@ -175,9 +175,9 @@ def test_class_encoding_round_trip():
     # bit i of a class is the coordinate on the i-th generator of the layout
     generators = {
         REAL_PLACE: [-1],
-        finite_place(2): [2, -1, 5],
-        finite_place(7): [7, nonresidue(7)],
-        finite_place(13): [13, nonresidue(13)],
+        Place(2): [2, -1, 5],
+        Place(7): [7, nonresidue(7)],
+        Place(13): [13, nonresidue(13)],
     }
     for place, gens in generators.items():
         assert len(gens) == place.width
@@ -191,7 +191,7 @@ def test_class_encoding_round_trip():
 
 def test_cocycle_encoding_round_trip():
     # a cocycle packs (first, second) as first | second << width
-    for place in (REAL_PLACE, finite_place(3), finite_place(2)):
+    for place in (REAL_PLACE, Place(3), Place(2)):
         k = place.width
         for n in range(1 << 2 * k):
             first, second = n & ((1 << k) - 1), n >> k
@@ -201,7 +201,7 @@ def test_cocycle_encoding_round_trip():
 
 
 def test_representative_round_trip():
-    for place in (REAL_PLACE, finite_place(2), finite_place(3), finite_place(13)):
+    for place in (REAL_PLACE, Place(2), Place(3), Place(13)):
         for c in range(1 << place.width):
             assert local_class(representative(place, c), place) == c
 
@@ -219,7 +219,7 @@ def test_local_class_is_multiplicative(a, b, place):
 
 
 @settings(derandomized, max_examples=100)
-@given(place=st.sampled_from(PLACES + [finite_place(p) for p in (7, 11, 10007)]), data=st.data())
+@given(place=st.sampled_from(PLACES + [Place(p) for p in (7, 11, 10007)]), data=st.data())
 def test_representative_lies_in_its_class(place, data):
     c = data.draw(st.integers(0, (1 << place.width) - 1))
     assert local_class(representative(place, c), place) == c
@@ -231,7 +231,7 @@ def test_hilbert_product_formula_property(a, b):
     support = {2} | {p for n in (a, b) for p, _ in factorize(n).factors}
     prod = hilbert_rational(a, b, REAL_PLACE)
     for p in support:
-        prod *= hilbert_rational(a, b, finite_place(p))
+        prod *= hilbert_rational(a, b, Place(p))
     assert prod == 1
 
 

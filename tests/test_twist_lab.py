@@ -4,7 +4,8 @@ import math
 import pytest
 
 from twoselmer.curve import FullTwoTorsionModel, sigma_set, twist
-from twoselmer.padic import REAL_PLACE, finite_place, local_class
+from twoselmer.local_descent import h_v
+from twoselmer.padic import Place, REAL_PLACE, local_class
 from twoselmer.selmer import SelmerSpec, selmer_group
 import twoselmer.twist_lab
 from twoselmer.twist_lab import (
@@ -12,14 +13,14 @@ from twoselmer.twist_lab import (
     character_candidates,
     find_inc2,
     find_plus_one,
-    multiplicative_h_check,
     parity_check,
     rank_of_twist,
-    scan,
     scan_records,
     squarefree_twists,
+    summarize,
     twist_spec,
 )
+from twoselmer.zarith import is_squarefree, valuation
 
 SIGN = 1  # the nontrivial class at the real place
 
@@ -78,7 +79,7 @@ def test_build_character_examples():
 
 def test_build_character_matches_prescription():
     m = FullTwoTorsionModel((0, 1, 5))
-    pres = {REAL_PLACE: SIGN, finite_place(5): 0b10}
+    pres = {REAL_PLACE: SIGN, Place(5): 0b10}
     d = next(character_candidates(m, pres))
     for v in sigma_set(m):
         assert local_class(d, v) == pres.get(v, 0)
@@ -101,10 +102,15 @@ def test_find_plus_one(m101):
 def test_squarefree_twists_order():
     assert list(itertools.islice(squarefree_twists(10), 8)) == [1, -1, 2, -2, 3, -3, 5, -5]
     assert 4 not in set(squarefree_twists(10))
+    # the sieve against one is_squarefree call per a
+    for bound in (0, 1, 2, 3, 4, 9, 10, 1000):
+        expected = [s * a for a in range(1, bound + 1) if is_squarefree(a) for s in (1, -1)]
+        assert list(squarefree_twists(bound)) == expected
 
 
 def test_scan_small(m101):
-    records, summary = scan(m101, 100)
+    records = list(scan_records(m101, 100))
+    summary = summarize(m101, 100, records)
     assert summary.parity_failures == 0
     assert {2, 3} <= set(summary.rank_histogram)
     assert summary.t_hat == 2
@@ -113,8 +119,6 @@ def test_scan_small(m101):
     # both parities occur
     assert {r % 2 for r in summary.rank_histogram} == {0, 1}
     assert summary.records_count == len(records)
-    with pytest.raises(ValueError):
-        scan(m101, 0)
 
 
 def test_scan_records_builds_base_group_once(monkeypatch):
@@ -139,17 +143,13 @@ def test_scan_rank_flip_babo(m101):
 
 
 def test_multiplicative_h_check():
+    # 5 is multiplicative for (0,1,5): v(Delta) is even (Delta is 16 times a
+    # square) and the unramified nontrivial class has norm index 1
     m = FullTwoTorsionModel((0, 1, 5))
-    rep = multiplicative_h_check(m, 5)
-    assert rep["v_delta"] % 2 == 0
-    assert rep["h"] == 1
-    assert rep["h_trivial"] == 0
-    assert rep["even_branch_ok"]
-    assert "unreachable" in rep["odd_branch"]
-    with pytest.raises(ValueError):
-        multiplicative_h_check(m, 7)  # good reduction
-    with pytest.raises(ValueError):
-        multiplicative_h_check(m, 2)
+    assert len({e % 5 for e in m.roots}) == 2
+    assert valuation(m.discriminant, 5) % 2 == 0
+    assert h_v(m, 0b10, Place(5)) == 1
+    assert h_v(m, 0, Place(5)) == 0
 
 
 def test_base_rank(corpus):

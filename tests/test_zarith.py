@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twoselmer.padic import finite_place, local_class
+from twoselmer.padic import Place, local_class
 from twoselmer.zarith import (
     FactoredInteger,
     factorize,
@@ -66,14 +66,14 @@ def test_valuation_examples():
     with pytest.raises(ValueError):
         valuation(0, 3)
     # v_3(9/2) = 2 and v_2(9/2) = -1: the class of 9/2 is read from 18
-    assert local_class(Fraction(9, 2), finite_place(3)) & 1 == 0
-    assert local_class(Fraction(9, 2), finite_place(2)) & 1 == 1
+    assert local_class(Fraction(9, 2), Place(3)) & 1 == 0
+    assert local_class(Fraction(9, 2), Place(2)) & 1 == 1
 
 
 def test_unit_part():
     # 9/2 = 3^2 * (1/2) and 48 = 2^4 * 3: a class depends on the unit part only
-    assert local_class(Fraction(9, 2), finite_place(3)) == local_class(Fraction(1, 2), finite_place(3))
-    assert local_class(48, finite_place(2)) == local_class(3, finite_place(2))
+    assert local_class(Fraction(9, 2), Place(3)) == local_class(Fraction(1, 2), Place(3))
+    assert local_class(48, Place(2)) == local_class(3, Place(2))
 
 
 def test_legendre_examples():
@@ -84,7 +84,7 @@ def test_legendre_examples():
 
 def test_legendre_fraction():
     # 1/2 is a square mod 7 iff 2 is (inverse of a square is a square)
-    p7 = finite_place(7)
+    p7 = Place(7)
     assert local_class(Fraction(1, 2), p7) == local_class(2, p7)
     assert (local_class(Fraction(3, 5), p7) >> 1) == (legendre(3, 7) * legendre(5, 7) == -1)
     with pytest.raises(ValueError):
