@@ -4,7 +4,8 @@ All output is line-delimited JSON records (streams) or one JSON document
 (summaries), with a schema_version field.  Reruns with the same arguments
 are byte-identical; scan timing is therefore off unless --timing is given.
 
-Exit codes: 0 success, 1 usage, 2 verification failure, 3 budget exhausted.
+Exit codes: 0 success, 1 usage, 2 verification failure (a failed check or a
+soundness alarm), 3 budget exhausted.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .curve import (
     require_full_model,
     sigma_set,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, SoundnessAlarm
 from .local_descent import h_v, kummer_image
 from .padic import Place, local_class, local_pairing, parse_place
 from .selmer import SelmerSpec, duality_check, selmer_group
@@ -57,11 +58,15 @@ def _record_line(rec: twist_lab.TwistRecord) -> str:
     return _dump(doc) + "\n"
 
 
+# the keys of _record_line that hold the TwistRecord fields, in field order
+_RECORD_KEYS = ("d", "rank", "parity_lhs", "parity_rhs", "sigma_prime", "ms")
+
+
 def _parse_record(line: str) -> twist_lab.TwistRecord:
     doc = json.loads(line)
-    return twist_lab.TwistRecord(
-        doc["d"], doc["rank"], doc["parity_lhs"], doc["parity_rhs"], doc["sigma_prime"], doc["ms"]
-    )
+    if not isinstance(doc, dict) or any(type(doc.get(k)) is not int for k in _RECORD_KEYS):
+        raise ValueError(f"not a scan record with integer {', '.join(_RECORD_KEYS)}: {line!r}")
+    return twist_lab.TwistRecord(*(doc[k] for k in _RECORD_KEYS))
 
 
 def _parse_mask(text: str) -> tuple[Place, int]:
@@ -191,9 +196,9 @@ def run_verify_suite(model: FullTwoTorsionModel, suite: str, trials: int, seed: 
     for _ in range(trials):
         if suite == "parity":
             d = _random_squarefree(rng, 500)
-            chk = twist_lab.parity_check(model, d)
-            ok = chk["equal"]
-            detail = {"d": d, "lhs": chk["lhs"], "rhs": chk["rhs"]}
+            rec = twist_lab.parity_check(model, d)
+            ok = rec.parity_ok
+            detail = {"d": d, "lhs": rec.parity_lhs, "rhs": rec.parity_rhs}
         elif suite == "duality":
             pool = list(sigma) + [Place(p) for p in (3, 5, 7, 11, 13) if Place(p) not in sigma]
             size = rng.randint(0, 2)
@@ -272,8 +277,17 @@ def cmd_search(args) -> int:
 def cmd_bound(args) -> int:
     with open(args.summary) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or not {"n", "t_hat", "bound_checks"} <= doc.keys():
-        raise ValueError(f"{args.summary} is not a scan summary with n, t_hat and bound_checks")
+    if not (
+        isinstance(doc, dict)
+        and type(doc.get("n")) is int
+        and type(doc.get("t_hat")) is int
+        and isinstance(doc.get("bound_checks"), dict)
+        and all(type(ok) is bool for ok in doc["bound_checks"].values())
+    ):
+        raise ValueError(
+            f"{args.summary} is not a scan summary with integer n and t_hat "
+            "and bound_checks of booleans"
+        )
     n = doc["n"]
     report = {
         "n": n,
@@ -340,6 +354,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except SoundnessAlarm as exc:
+        print(f"soundness alarm: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -80,7 +80,3 @@ def kernel_basis(rows: list[int], width: int) -> list[int]:
                 v |= 1 << pc
         basis.append(v)
     return basis
-
-
-def dot(a: int, b: int) -> int:
-    return (a & b).bit_count() & 1

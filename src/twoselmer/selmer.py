@@ -6,7 +6,9 @@ It is one int of 2m bits, the kernel vector itself: over the m generators
 d1 and bit m + i whether it divides d2.  ``SelmerResult.basis_values``
 decodes the vectors into signed squarefree pairs, the only other form.  The
 group is the kernel of one F2 matrix whose rows are the local conditions at
-the places of Sigma'; nothing is enumerated.
+the places of Sigma'; nothing is enumerated.  Every local condition is a
+basis tuple: the Kummer image, the empty tuple at a strict place and all 2k
+unit cocycles at a relaxed one, so one loop builds every row.
 """
 
 from __future__ import annotations
@@ -81,54 +83,52 @@ def _sigma_prime(spec: SelmerSpec) -> tuple[Place, ...]:
     return tuple(sorted(places, key=lambda v: v.sort_key()))
 
 
+def _local_condition(spec: SelmerSpec, v: Place) -> tuple[int, ...]:
+    """Basis of the condition at v: none if strict, all cocycles if relaxed, else alpha_v."""
+    if v in spec.strict:
+        return ()
+    if v in spec.relaxed:
+        return tuple(1 << j for j in range(2 * v.width))
+    return kummer_image(spec.model, spec.masks.get(v, 0), v)
+
+
 def selmer_group(spec: SelmerSpec, verify: bool = False) -> SelmerResult:
     """Kernel computation of the (masked / strict / relaxed) 2-Selmer group."""
     spec.validate()
     places = _sigma_prime(spec)
     generators = _generators(places)
     m = len(generators)
-    width = 2 * m
 
     rows: list[int] = []
-    conditions: list[tuple[Place, list[int]]] = []
+    conditions: list[tuple[Place, tuple[int, ...]]] = []
     for v in places:
-        if v in spec.relaxed:
-            continue
         k = v.width
+        condition = _local_condition(spec, v)
+        # restriction at v, one row per cocycle bit over the 2m generator coordinates
         loc = [local_class(g, v) for g in generators]
-        if v in spec.strict:
-            checks = [1 << j for j in range(2 * k)]
-            image_rows: tuple[int, ...] = ()
-        else:
-            image_rows = kummer_image(spec.model, spec.masks.get(v, 0), v)
-            # the annihilator of the image under the bit-dot pairing
-            checks = gf2.kernel_basis(image_rows, 2 * k)
-        res_of_gen = [loc[j] for j in range(m)] + [loc[j] << k for j in range(m)]
-        for h in checks:
+        res = [sum(((c >> i) & 1) << j for j, c in enumerate(loc)) for i in range(k)]
+        res += [r << m for r in res]
+        # each check annihilates the condition under the bit-dot pairing
+        for h in gf2.kernel_basis(condition, 2 * k):
             row = 0
-            for j in range(width):
-                if gf2.dot(res_of_gen[j], h):
-                    row |= 1 << j
+            for i in range(2 * k):
+                if (h >> i) & 1:
+                    row ^= res[i]
             rows.append(row)
-        conditions.append((v, image_rows))
+        conditions.append((v, condition))
 
-    kernel = gf2.kernel_basis(rows, width)
+    kernel = gf2.kernel_basis(rows, 2 * m)
     result = SelmerResult(len(kernel), kernel, places)
 
     if verify:
-        _verify_pointwise(spec, result, conditions)
+        _verify_pointwise(result, conditions)
     return result
 
 
-def _verify_pointwise(spec, result: SelmerResult, conditions) -> None:
+def _verify_pointwise(result: SelmerResult, conditions) -> None:
     for a, b in result.basis_values():
-        for v, image_rows in conditions:
-            c = restriction((a, b), v)
-            if v in spec.strict:
-                ok = c == 0
-            else:
-                ok = gf2.in_span(c, image_rows)
-            if not ok:
+        for v, condition in conditions:
+            if not gf2.in_span(restriction((a, b), v), condition):
                 raise SoundnessAlarm(
                     f"basis element ({a},{b}) violates the condition at {v}"
                 )
@@ -177,17 +177,10 @@ def _find_frobenius_prime(generators: tuple[int, ...], target_index: int, avoid:
     while tried < DEFAULT_PRIME_BUDGET:
         if is_prime(w) and w not in avoid:
             tried += 1
-            ok = True
-            for i, g in enumerate(generators):
-                want = -1 if i == target_index else 1
-                if g == -1:
-                    got = 1 if w % 4 == 1 else -1
-                else:
-                    got = legendre(g, w)
-                if got != want:
-                    ok = False
-                    break
-            if ok:
+            if all(
+                legendre(g, w) == (-1 if i == target_index else 1)
+                for i, g in enumerate(generators)
+            ):
                 return w
         w += 2
     raise SearchBudgetExceeded("no Frobenius prime found within budget")

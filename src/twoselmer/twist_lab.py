@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from math import isqrt
 from typing import Iterator
@@ -79,27 +79,13 @@ def base_rank(model: FullTwoTorsionModel) -> int:
     return selmer_group(SelmerSpec(model)).dim
 
 
-def parity_check(model: FullTwoTorsionModel, d: int) -> dict:
+def parity_check(model: FullTwoTorsionModel, d: int) -> TwistRecord:
     """Kramer parity: (r2(E) - r2(E^d)) mod 2 vs sum of local norm indices."""
     r0 = base_rank(model)
     spec = twist_spec(model, d)
     result = selmer_group(spec)
-    rhs = 0
-    h_terms = {}
-    for v, cls in spec.masks.items():
-        h = h_v(model, cls, v)
-        h_terms[str(v)] = h
-        rhs ^= h & 1
-    lhs = (r0 - result.dim) % 2
-    return {
-        "d": d,
-        "rank": result.dim,
-        "lhs": lhs,
-        "rhs": rhs,
-        "equal": lhs == rhs,
-        "h": h_terms,
-        "sigma_prime": len(result.sigma_prime),
-    }
+    rhs = sum(h_v(model, cls, v) for v, cls in spec.masks.items()) % 2
+    return TwistRecord(d, result.dim, (r0 - result.dim) % 2, rhs, len(result.sigma_prime), 0)
 
 
 def _primes(start: int = 2) -> Iterator[int]:
@@ -228,9 +214,8 @@ def scan_records(
 ) -> Iterator[TwistRecord]:
     for d in squarefree_twists(bound):
         t0 = time.monotonic()
-        chk = parity_check(model, d)
-        ms = int((time.monotonic() - t0) * 1000) if timing else 0
-        yield TwistRecord(d, chk["rank"], chk["lhs"], chk["rhs"], chk["sigma_prime"], ms)
+        rec = parity_check(model, d)
+        yield replace(rec, ms=int((time.monotonic() - t0) * 1000)) if timing else rec
 
 
 def summarize(model: FullTwoTorsionModel, bound: int, records: list[TwistRecord]) -> ScanSummary:

@@ -1,6 +1,7 @@
 """Exact integer arithmetic primitives.
 
-Factorization, p-adic valuations, Legendre symbols and squarefree parts.
+Factorization (by the small primes, then Pollard rho), p-adic valuations,
+Legendre symbols and squarefree parts.
 Every function takes integers only: a square class never needs a rational,
 since the class of a/b is the class of ab.  All arithmetic is exact;
 nothing in this package touches floats.
@@ -13,19 +14,19 @@ from math import gcd
 
 from .errors import FactorizationBudgetExceeded
 
-# Deterministic Miller–Rabin witness set, valid for n < 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The primes below 41: trial divisors of is_prime and factorize, and the
+# deterministic Miller–Rabin witness set, valid for n < 3.3e24.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Fixed extra witnesses for larger inputs (probabilistic, deterministic run).
 _MR_EXTRA = (41, 43, 47, 53, 59, 61, 67, 71, 73)
 
-DEFAULT_TRIAL_BOUND = 10**6
 DEFAULT_RHO_BUDGET = 10**7
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -33,7 +34,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    bases = _MR_BASES if n < 3_317_044_064_679_887_385_961_981 else _MR_BASES + _MR_EXTRA
+    bases = _SMALL_PRIMES if n < 3_317_044_064_679_887_385_961_981 else _SMALL_PRIMES + _MR_EXTRA
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -56,9 +57,8 @@ class FactoredInteger:
 
 
 def _pollard_rho(n: int, budget: list[int]) -> int:
-    """Brent's cycle variant with a deterministic constant schedule."""
-    if n % 2 == 0:
-        return 2
+    """A proper divisor of an odd composite n: Floyd's cycle finding on
+    x -> x^2 + c with a gcd at every step, trying c = 1, 2, ... in turn."""
     c = 1
     while True:
         x = y = 2
@@ -87,27 +87,20 @@ def factorize(n: int) -> FactoredInteger:
     def record(p: int) -> None:
         factors[p] = factors.get(p, 0) + 1
 
-    while m % 2 == 0:
-        record(2)
-        m //= 2
-    d = 3
-    while d <= DEFAULT_TRIAL_BOUND and d * d <= m:
-        while m % d == 0:
-            record(d)
-            m //= d
-        d += 2
+    for p in _SMALL_PRIMES:
+        while m % p == 0:
+            record(p)
+            m //= p
+    # every cofactor is odd and free of the small primes; rho splits it properly
     budget = [DEFAULT_RHO_BUDGET]
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             record(m)
             continue
         f = _pollard_rho(m, budget)
-        stack.append(f)
-        stack.append(m // f)
+        stack += (f, m // f)
     return FactoredInteger(sign, tuple(sorted(factors.items())))
 
 

@@ -134,6 +134,27 @@ def snapshot(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+NOT_RECORDS = [
+    "{}",
+    "[1]",
+    '{"d": 11, "rank": 2, "parity_lhs": 0, "parity_rhs": 0, "sigma_prime": "3", "ms": 0}',
+]
+
+
+@pytest.mark.parametrize("line", NOT_RECORDS, ids=["empty", "list", "string-field"])
+def test_scan_resume_rejects_line_that_is_no_record(tmp_path, capsys, line):
+    # unchecked, a JSON line without the record keys ended in a KeyError traceback
+    out = tmp_path / "k"
+    assert main(["scan", "--curve=-1,0,1", "--bound=10", f"--out={out}"]) == 0
+    with open(out / "records.jsonl", "a") as fh:
+        fh.write(line + "\n")
+    capsys.readouterr()
+    before = snapshot(out)
+    assert main(["scan", "--curve=-1,0,1", "--bound=10", f"--out={out}", "--resume"]) == 1
+    assert capsys.readouterr().err.startswith("error: not a scan record")
+    assert snapshot(out) == before
+
+
 def test_scan_writes_manifest(tmp_path, capsys):
     out = tmp_path / "m"
     assert main(["scan", "--curve=0,5,1", "--bound=3", f"--out={out}"]) == 0
@@ -235,6 +256,21 @@ def test_search_rejects_non_full_torsion(capsys):
     capsys.readouterr()
 
 
+def test_soundness_alarm_exits_2(capsys, monkeypatch):
+    import twoselmer.cli
+    import twoselmer.twist_lab
+    from twoselmer.errors import SoundnessAlarm
+
+    def alarm(*args, **kwargs):
+        raise SoundnessAlarm("injected")
+
+    monkeypatch.setattr(twoselmer.cli, "selmer_group", alarm)
+    monkeypatch.setattr(twoselmer.twist_lab, "find_plus_one", alarm)
+    for argv in (["descent", "--curve=-1,0,1"], ["search", "plus-one", "--curve=-1,0,1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "soundness alarm: injected\n"
+
+
 def test_search_budget_exhaustion_exit_code(capsys):
     code, out = run(capsys, "search", "inc2", "--curve=-1,0,1", "--budget=0")
     assert code == 3
@@ -261,7 +297,18 @@ def test_descent_rejects_zero_denominator_in_mask(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("doc", [{"n": 3}, [1, 2]])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 3},
+        [1, 2],
+        # the three keys with other types: a TypeError and an AttributeError unchecked
+        {"n": None, "t_hat": 2, "bound_checks": {}},
+        {"n": 2, "t_hat": 2, "bound_checks": [1]},
+        # a check that is not a boolean: unchecked, "no" counted as passed
+        {"n": 2, "t_hat": 2, "bound_checks": {"t_hat_ge_2": "no"}},
+    ],
+)
 def test_bound_rejects_malformed_summary(tmp_path, capsys, doc):
     path = tmp_path / "summary.json"
     path.write_text(json.dumps(doc))

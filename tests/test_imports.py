@@ -2,8 +2,9 @@
 
 Neither ruff nor pyflakes is a dependency.  Every name a module imports must
 appear as a ``Name`` somewhere in the module or be re-exported through
-``__all__``, rationals enter only through the input parsers, and every
-public function or class is used by the package itself or exported.
+``__all__``, rationals enter only through the input parsers, every
+public function or class is used by the package itself or exported, and
+every top-level UPPER_CASE constant is read by package code.
 """
 
 import ast
@@ -104,3 +105,36 @@ def test_no_test_only_library_code():
     found = unreferenced_definitions(sources, set(twoselmer.__all__))
     # an entry that gains a caller leaves the list
     assert {d.split(".")[1] for d in found} == set(NOT_CALLED_BY_THE_PACKAGE), found
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """Top-level UPPER_CASE assignments that no module reads (as a name or an attribute)."""
+    assigned: list[str] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for stmt in tree.body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+            for t in targets:
+                if isinstance(t, ast.Name) and t.id.lstrip("_").isupper():
+                    assigned.append(f"{module}.{t.id}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(c for c in assigned if c.split(".")[1] not in read)
+
+
+def test_unread_constant_check():
+    sources = {
+        "a": "LIMIT = 3\n_BASES = (2, 3)\nUNUSED = 1\n_HIDDEN: int = 2\nlower = 4\n"
+        "def f(n): return n < LIMIT\n",
+        "b": "import a\nprint(a._BASES)\n",
+    }
+    assert unread_constants(sources) == ["a.UNUSED", "a._HIDDEN"]
+
+
+def test_no_unread_constants():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_constants(sources) == []

@@ -46,17 +46,20 @@ def test_masked_equals_direct_descent(corpus):
 
 
 def test_parity_examples(m101):
-    chk = parity_check(m101, 1)
-    assert chk["lhs"] == chk["rhs"] == 0
-    chk = parity_check(m101, -1)
-    assert chk["equal"] and chk["lhs"] == 0
-    assert chk["h"]["inf"] == 1 and chk["h"]["2"] == 1
+    rec = parity_check(m101, 1)
+    assert rec.parity_lhs == rec.parity_rhs == 0
+    rec = parity_check(m101, -1)
+    assert rec.parity_ok and rec.parity_lhs == 0
+    assert (rec.d, rec.rank, rec.sigma_prime_size, rec.ms) == (-1, 2, 2, 0)
+    # -1 is nontrivial at inf and at 2, and each norm index is 1
+    assert h_v(m101, 1, REAL_PLACE) == 1
+    assert h_v(m101, local_class(-1, Place(2)), Place(2)) == 1
 
 
 def test_parity_small_range(corpus):
     for m in corpus:
         for d in squarefree_twists(60):
-            assert parity_check(m, d)["equal"], (m.roots, d)
+            assert parity_check(m, d).parity_ok, (m.roots, d)
 
 
 def test_build_character_examples():

@@ -53,6 +53,47 @@ def test_factorize_round_trip():
             assert is_prime(p)
 
 
+def trial_division(n):
+    """(sign, ((prime, exponent), ...)) of a nonzero n by division up to sqrt(|n|)."""
+    m, factors, p = abs(n), [], 2
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            factors.append((p, e))
+        p += 1
+    if m > 1:
+        factors.append((m, 1))
+    return (1 if n > 0 else -1), tuple(factors)
+
+
+def test_factorize_against_trial_division():
+    for n in range(-20000, 20000):
+        if n:
+            f = factorize(n)
+            assert (f.sign, f.factors) == trial_division(n), n
+
+
+def test_factorize_past_the_small_primes():
+    # cofactors free of the primes below 41 go to Pollard rho: semiprimes with
+    # both factors just above 10^6, squares of primes above 37, signs
+    cases = [
+        (1000003 * 1000033, ((1000003, 1), (1000033, 1))),
+        (-1000003 * 1000037 * 2, ((2, 1), (1000003, 1), (1000037, 1))),
+        (41**2, ((41, 2),)),
+        (1009**2, ((1009, 2),)),
+        (-(999983**2), ((999983, 2),)),
+        (3 * 37**3 * 41 * 43, ((3, 1), (37, 3), (41, 1), (43, 1))),
+        (1, ()),
+        (-1, ()),
+    ]
+    for n, factors in cases:
+        assert factorize(n) == FactoredInteger(1 if n > 0 else -1, factors), n
+    assert all(is_prime(p) for p in (1009, 999983, 1000003, 1000033, 1000037))
+
+
 def test_factorize_rejects_zero():
     with pytest.raises(ValueError):
         factorize(0)
@@ -80,6 +121,13 @@ def test_legendre_examples():
     assert legendre(2, 7) == 1
     assert legendre(3, 7) == -1
     assert legendre(14, 7) == 0
+
+
+def test_legendre_of_minus_one():
+    # (-1/p) = (-1)^((p-1)/2): the Frobenius search reads -1 like any generator
+    for p in range(3, 10**4, 2):
+        if is_prime(p):
+            assert legendre(-1, p) == (-1) ** ((p - 1) // 2), p
 
 
 def test_legendre_fraction():
