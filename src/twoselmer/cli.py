@@ -153,9 +153,7 @@ def cmd_scan(args) -> int:
         _replace_file(manifest_path, manifest)
 
     with open(records_path, "a" if resuming else "w") as fh:
-        for rec in scan_records(model, args.bound, timing=args.timing):
-            if abs(rec.d) <= done_through:
-                continue
+        for rec in scan_records(model, args.bound, timing=args.timing, after=done_through):
             records.append(rec)
             fh.write(_record_line(rec))
             fh.flush()

@@ -8,7 +8,7 @@ from functools import cache
 from math import isqrt, lcm
 
 from .padic import Place, REAL_PLACE, local_class
-from .zarith import factorize, is_prime, is_squarefree, legendre
+from .zarith import factorize, is_squarefree
 
 
 @dataclass(frozen=True)
@@ -145,22 +145,6 @@ def full_model_from_long(m: LongModel) -> FullTwoTorsionModel | None:
     # x -> u^2 x with u^2 = den^2 keeps the curve isomorphic and roots integral
     u2 = den * den
     return FullTwoTorsionModel(tuple(sorted(int(r * u2) for r in roots)))
-
-
-def four_torsion_rational_at(model: FullTwoTorsionModel, q: int) -> bool:
-    """Whether all of E[4] is Q_q-rational, for an odd prime q of good reduction.
-
-    Equivalent to every root difference e_i - e_j (both orders) being a
-    square mod q: the halves of (e_i, 0) then have square f-value, and the
-    torsion Kummer images force the converse.
-    """
-    if q == 2 or not is_prime(q):
-        raise ValueError("q must be an odd prime")
-    if Place(q) in sigma_set(model):
-        raise ValueError(f"{q} is a bad place for this model")
-    e1, e2, e3 = model.roots
-    diffs = (e1 - e2, e1 - e3, e2 - e3, -1)
-    return all(legendre(d, q) == 1 for d in diffs)
 
 
 def parse_curve(text: str) -> FullTwoTorsionModel | LongModel:

@@ -14,13 +14,14 @@ unit cocycles at a relaxed one, so one loop builds every row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 from . import gf2
 from .curve import FullTwoTorsionModel, sigma_set
 from .errors import SearchBudgetExceeded, SoundnessAlarm
 from .local_descent import kummer_image
 from .padic import Place, local_class, local_pairing
-from .zarith import is_prime, legendre
+from .zarith import legendre, odd_primes
 
 DEFAULT_PRIME_BUDGET = 10**6
 
@@ -172,17 +173,13 @@ def duality_check(spec: SelmerSpec, T: frozenset[Place]) -> tuple[bool, dict]:
 
 def _find_frobenius_prime(generators: tuple[int, ...], target_index: int, avoid: set[int]) -> int:
     """Smallest odd prime w with legendre(g_i, w) = -1 exactly for i = target_index."""
-    tried = 0
-    w = 3
-    while tried < DEFAULT_PRIME_BUDGET:
-        if is_prime(w) and w not in avoid:
-            tried += 1
-            if all(
-                legendre(g, w) == (-1 if i == target_index else 1)
-                for i, g in enumerate(generators)
-            ):
-                return w
-        w += 2
+    candidates = (w for w in odd_primes() if w not in avoid)
+    for w in islice(candidates, DEFAULT_PRIME_BUDGET):
+        if all(
+            legendre(g, w) == (-1 if i == target_index else 1)
+            for i, g in enumerate(generators)
+        ):
+            return w
     raise SearchBudgetExceeded("no Frobenius prime found within budget")
 
 

@@ -12,20 +12,16 @@ import logging
 import time
 from dataclasses import dataclass, field, replace
 from functools import cache
-from math import isqrt
+from itertools import count, islice
+from math import isqrt, prod
 from typing import Iterator
 
-from .curve import (
-    FullTwoTorsionModel,
-    four_torsion_rational_at,
-    local_twist_classes,
-    sigma_set,
-)
+from .curve import FullTwoTorsionModel, local_twist_classes, sigma_set
 from .errors import SearchBudgetExceeded, SoundnessAlarm
 from .local_descent import h_v
 from .padic import Place, REAL_PLACE, local_class
 from .selmer import DEFAULT_PRIME_BUDGET, SelmerSpec, selmer_group
-from .zarith import is_prime, legendre
+from .zarith import is_prime, odd_primes
 
 log = logging.getLogger(__name__)
 
@@ -88,83 +84,44 @@ def parity_check(model: FullTwoTorsionModel, d: int) -> TwistRecord:
     return TwistRecord(d, result.dim, (r0 - result.dim) % 2, rhs, len(result.sigma_prime), 0)
 
 
-def _primes(start: int = 2) -> Iterator[int]:
-    n = start
-    while True:
-        if is_prime(n):
-            yield n
-        n += 1 if n == 2 else 2
-
-
-def _matches_prescription(
-    model: FullTwoTorsionModel, d: int, at_sigma: dict[Place, int]
-) -> bool:
-    for v in sigma_set(model):
-        if local_class(d, v) != at_sigma.get(v, 0):
-            return False
-    return True
-
-
 def character_candidates(
     model: FullTwoTorsionModel,
     at_sigma: dict[Place, int],
     budget: int = DEFAULT_PRIME_BUDGET,
 ) -> Iterator[int]:
-    """Squarefree d matching local classes at Sigma and ramified outside Sigma
-    at one extra prime q, by ascending q."""
-    sigma_primes = [v.p for v in sigma_set(model) if v.p is not None]
-    units = [-1] + sigma_primes
-    subsets = []
-    for bits in range(1 << len(units)):
-        s = 1
-        for i, u in enumerate(units):
-            if (bits >> i) & 1:
-                s *= u
-        subsets.append(s)
+    """Squarefree d = s*q with the local classes at_sigma at every place of
+    Sigma, q a prime outside Sigma, by ascending q.
 
-    count = 0
-    for q in _primes(3):
-        if q in sigma_primes:
-            continue
-        count += 1
-        if count > budget:
+    The prescription fixes the Sigma-supported part s, since q > 0 is a unit
+    at Sigma: s is negative exactly when the class at inf is, and p | s
+    exactly when the class at p has odd valuation (bit 0).  Only the
+    residues of q at Sigma are left to test.
+    """
+    sigma = sigma_set(model)
+    s = prod(-1 if v.is_infinite else v.p for v in sigma if at_sigma.get(v, 0) & 1)
+    outside = (q for q in odd_primes() if Place(q) not in sigma)
+    for tried, q in enumerate(outside, 1):
+        if tried > budget:
             raise SearchBudgetExceeded("character prime search budget exceeded")
-        for s in subsets:
-            d = s * q
-            if _matches_prescription(model, d, at_sigma):
-                yield d
+        if all(local_class(s * q, v) == at_sigma.get(v, 0) for v in sigma):
+            yield s * q
 
 
 def find_inc2(model: FullTwoTorsionModel, budget: int = DEFAULT_PRIME_BUDGET) -> dict:
     """A prime twist raising the Selmer rank by exactly 2.
 
-    Search conditions: q = 1 mod 8 and mod every odd Sigma prime (splitting
-    in the ray-class 2-extension), trivial restriction of the current Selmer
-    basis at q, and E[4] rational at q.  Each candidate is re-verified by a
-    full descent; a verification failure is a soundness alarm but the search
-    continues.
+    Candidates are the primes q = 1 mod 8 and mod every odd Sigma prime (the
+    primes splitting in the ray-class 2-extension), in order.  By
+    reciprocity every Sigma-supported integer is a square mod q, so the
+    current Selmer basis restricts trivially at q and E[4] is rational at q
+    (the root differences are supported on Sigma).  Each candidate is
+    checked by a full descent; a candidate that fails is a soundness alarm
+    but the search continues.
     """
-    base = selmer_group(SelmerSpec(model))
-    r_before = base.dim
-    modulus = 8
-    for v in sigma_set(model)[2:]:  # the odd primes of Sigma
-        modulus *= v.p
-    support_values = set()
-    for a, b in base.basis_values():
-        support_values.update((a, b))
-    support_values.discard(1)
-
-    checked = 0
-    q = 1
-    while checked < budget:
-        q += modulus
-        if not is_prime(q):
-            continue
-        checked += 1
-        if any(legendre(v, q) != 1 for v in support_values):
-            continue
-        if not four_torsion_rational_at(model, q):
-            continue
+    r_before = base_rank(model)
+    modulus = 8 * prod(v.p for v in sigma_set(model)[2:])  # the odd primes of Sigma
+    progression = (q for q in count(1 + modulus, modulus) if is_prime(q))
+    for q in islice(progression, max(budget, 0)):
         r_after = rank_of_twist(model, q)
         if r_after == r_before + 2:
             return {"q": q, "r_before": r_before, "r_after": r_after}
@@ -196,23 +153,25 @@ def find_plus_one(model: FullTwoTorsionModel, budget: int = DEFAULT_PRIME_BUDGET
     raise SearchBudgetExceeded("find_plus_one budget exhausted")
 
 
-def squarefree_twists(bound: int) -> Iterator[int]:
-    """d by increasing |d|, positive before negative."""
+def squarefree_twists(bound: int, after: int = 0) -> Iterator[int]:
+    """d with after < |d| <= bound by increasing |d|, positive before negative."""
     # a sieve of square divisors: clear every multiple of k^2, 2 <= k <= sqrt(bound)
     squarefree = bytearray([1]) * (bound + 1)
     for k in range(2, isqrt(max(bound, 0)) + 1):
         for a in range(k * k, bound + 1, k * k):
             squarefree[a] = 0
-    for a in range(1, bound + 1):
+    for a in range(after + 1, bound + 1):
         if squarefree[a]:
             yield a
             yield -a
 
 
 def scan_records(
-    model: FullTwoTorsionModel, bound: int, timing: bool = False
+    model: FullTwoTorsionModel, bound: int, timing: bool = False, after: int = 0
 ) -> Iterator[TwistRecord]:
-    for d in squarefree_twists(bound):
+    """One record per squarefree d with after < |d| <= bound; a resumed scan
+    passes the last |d| it has finished."""
+    for d in squarefree_twists(bound, after):
         t0 = time.monotonic()
         rec = parity_check(model, d)
         yield replace(rec, ms=int((time.monotonic() - t0) * 1000)) if timing else rec

@@ -1,7 +1,7 @@
 """Exact integer arithmetic primitives.
 
-Factorization (by the small primes, then Pollard rho), p-adic valuations,
-Legendre symbols and squarefree parts.
+Factorization (by the small primes, then Pollard rho), the stream of odd
+primes, p-adic valuations, Legendre symbols and squarefree parts.
 Every function takes integers only: a square class never needs a rational,
 since the class of a/b is the class of ab.  All arithmetic is exact;
 nothing in this package touches floats.
@@ -10,7 +10,9 @@ nothing in this package touches floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import gcd
+from typing import Iterator
 
 from .errors import FactorizationBudgetExceeded
 
@@ -46,6 +48,11 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def odd_primes() -> Iterator[int]:
+    """The odd primes 3, 5, 7, ... in order."""
+    return (n for n in count(3, 2) if is_prime(n))
 
 
 @dataclass(frozen=True)

