@@ -17,6 +17,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__, gf2, twist_lab
 from .curve import (
@@ -298,7 +299,9 @@ def cmd_bound(args) -> int:
     return EXIT_OK if all(doc["bound_checks"].values()) else EXIT_VERIFY
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built at the first call; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="twoselmer",
         description="2-Selmer ranks of quadratic twists of curves with full rational 2-torsion",
@@ -339,9 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

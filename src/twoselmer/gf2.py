@@ -7,6 +7,8 @@ elimination is used throughout.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 
 def _lsb_index(x: int) -> int:
     return (x & -x).bit_length() - 1
@@ -15,9 +17,11 @@ def _lsb_index(x: int) -> int:
 class Span:
     """Incrementally built row space in reduced echelon form."""
 
-    def __init__(self) -> None:
+    def __init__(self, rows: Iterable[int] = ()) -> None:
         self.rows: list[int] = []
         self.pivots: list[int] = []
+        for r in rows:
+            self.add(r)
 
     def reduce(self, v: int) -> int:
         for pc, row in zip(self.pivots, self.rows):
@@ -47,28 +51,16 @@ class Span:
 
 
 def reduce_rows(rows: list[int]) -> list[int]:
-    span = Span()
-    for r in rows:
-        span.add(r)
-    return list(span.rows)
+    return Span(rows).rows
 
 
 def rank(rows: list[int]) -> int:
     return len(reduce_rows(rows))
 
 
-def in_span(v: int, rows: list[int]) -> bool:
-    span = Span()
-    for r in rows:
-        span.add(r)
-    return span.contains(v)
-
-
 def kernel_basis(rows: list[int], width: int) -> list[int]:
     """Basis of {x : parity(row & x) = 0 for every row}, deterministic order."""
-    span = Span()
-    for r in rows:
-        span.add(r)
+    span = Span(rows)
     pivot_cols = set(span.pivots)
     basis = []
     for f in range(width):

@@ -127,9 +127,10 @@ def selmer_group(spec: SelmerSpec, verify: bool = False) -> SelmerResult:
 
 
 def _verify_pointwise(result: SelmerResult, conditions) -> None:
+    spans = [(v, gf2.Span(condition)) for v, condition in conditions]
     for a, b in result.basis_values():
-        for v, condition in conditions:
-            if not gf2.in_span(restriction((a, b), v), condition):
+        for v, span in spans:
+            if not span.contains(restriction((a, b), v)):
                 raise SoundnessAlarm(
                     f"basis element ({a},{b}) violates the condition at {v}"
                 )
@@ -171,10 +172,12 @@ def duality_check(spec: SelmerSpec, T: frozenset[Place]) -> tuple[bool, dict]:
     return report["gap_ok"] and report["orthogonal"], report
 
 
-def _find_frobenius_prime(generators: tuple[int, ...], target_index: int, avoid: set[int]) -> int:
-    """Smallest odd prime w with legendre(g_i, w) = -1 exactly for i = target_index."""
-    candidates = (w for w in odd_primes() if w not in avoid)
-    for w in islice(candidates, DEFAULT_PRIME_BUDGET):
+def _find_frobenius_prime(generators: tuple[int, ...], target_index: int) -> int:
+    """Smallest odd prime w with legendre(g_i, w) = -1 exactly for i = target_index.
+
+    Such a w is no generator (legendre(g, g) = 0) and differs for each target.
+    """
+    for w in islice(odd_primes(), DEFAULT_PRIME_BUDGET):
         if all(
             legendre(g, w) == (-1 if i == target_index else 1)
             for i, g in enumerate(generators)
@@ -224,11 +227,9 @@ def collapse_masks(spec: SelmerSpec) -> list[tuple[int, int]]:
     if gf2.rank(joint) != 2 * k:
         raise SoundnessAlarm("selected coordinate maps are not jointly surjective")
 
-    avoid = {g for g in generators if g != -1}
     out: list[tuple[int, int]] = []
     for i in selected:
-        w = _find_frobenius_prime(generators, i, avoid)
-        avoid.add(w)
+        w = _find_frobenius_prime(generators, i)
         place = Place(w)
         out.append((w, local_class(w, place)))
     return out

@@ -141,6 +141,7 @@ def find_plus_one(model: FullTwoTorsionModel, budget: int = DEFAULT_PRIME_BUDGET
         raise SoundnessAlarm(
             f"sign-masked rank {masked} != r - 1 = {r_before - 1}"
         )
+    # endless: character_candidates raises SearchBudgetExceeded past its budget
     for d in character_candidates(model, sign_mask, budget):
         r_after = rank_of_twist(model, d)
         if r_after == r_before + 1:
@@ -150,7 +151,6 @@ def find_plus_one(model: FullTwoTorsionModel, budget: int = DEFAULT_PRIME_BUDGET
                 "r_after": r_after,
                 "masked_rank": masked,
             }
-    raise SearchBudgetExceeded("find_plus_one budget exhausted")
 
 
 def squarefree_twists(bound: int, after: int = 0) -> Iterator[int]:

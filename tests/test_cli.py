@@ -4,6 +4,7 @@ import pytest
 
 import twoselmer.curve
 import twoselmer.zarith
+from twoselmer import cli
 from twoselmer.cli import main
 
 
@@ -76,6 +77,25 @@ def test_unknown_command_is_usage_error(capsys):
     capsys.readouterr()
     assert main([]) == 1
     capsys.readouterr()
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    argv = ["descent", "--curve=-1,0,1", "--twist=17"]
+    args = cli.build_parser.__wrapped__().parse_args(argv)
+    assert args.func(args) == 0
+    fresh = capsys.readouterr().out
+    code, masked = run(capsys, *argv, "--mask", "inf=sign")
+    assert code == 0 and "inf" in last_json(masked)["masks"]
+    assert "inf" not in last_json(fresh)["masks"]
+    assert run(capsys, *argv) == (0, fresh)
+    # a usage error leaves nothing behind either
+    assert main(["nosuch"]) == 1
+    capsys.readouterr()
+    assert run(capsys, *argv) == (0, fresh)
 
 
 def test_scan_outputs_and_determinism(tmp_path, capsys):
@@ -303,6 +323,9 @@ def test_soundness_alarm_exits_2(capsys, monkeypatch):
 def test_search_budget_exhaustion_exit_code(capsys):
     code, out = run(capsys, "search", "inc2", "--curve=-1,0,1", "--budget=0")
     assert code == 3
+    code, out = run(capsys, "search", "plus-one", "--curve=-1,0,1", "--budget=0")
+    assert code == 3
+    assert last_json(out)["error"] == "character prime search budget exceeded"
 
 
 def test_bound_command(tmp_path, capsys):

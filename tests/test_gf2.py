@@ -78,9 +78,10 @@ def test_annihilator():
 
 def test_in_span():
     rows = [0b101, 0b011]
-    assert gf2.in_span(0b110, rows)
-    assert not gf2.in_span(0b100, rows)
-    assert gf2.in_span(0, rows)
+    span = gf2.Span(rows)
+    assert span.contains(0b110)
+    assert not span.contains(0b100)
+    assert span.contains(0)
 
 
 def test_dot():

@@ -60,7 +60,7 @@ def test_kummer_image_odd_good_is_torsion_span(m101):
     t2 = (e2 - e1, (e2 - e1) * (e2 - e3))
     for a, b in (t1, t2):
         c = local_class(a, p) | (local_class(b, p) << p.width)
-        assert gf2.in_span(c, img)
+        assert gf2.Span(img).contains(c)
 
 
 def test_isotropy_and_half_dimension(corpus):

@@ -1,9 +1,12 @@
 import json
 import random
+import re
 
 import pytest
 
+import twoselmer.selmer
 from twoselmer.curve import FullTwoTorsionModel, sigma_set, twist
+from twoselmer.errors import SoundnessAlarm
 from twoselmer.padic import Place, REAL_PLACE, local_class
 from twoselmer.selmer import (
     SelmerResult,
@@ -12,6 +15,7 @@ from twoselmer.selmer import (
     duality_check,
     selmer_group,
 )
+from twoselmer.twist_lab import twist_spec
 from twoselmer.zarith import squarefree_value
 
 SIGN = 1  # the nontrivial class at the real place
@@ -195,3 +199,22 @@ def test_result_serialization_round_trip(m101):
     assert back["dim"] == result.dim
     assert back["curve"] == "-1,0,1"
     assert back["basis"] == [list(p) for p in result.basis_values()]
+
+
+@pytest.mark.parametrize("model, d, first", [
+    ("m101", 17, "basis element (17,1) violates the condition at 17"),
+    ("m015", 1, "basis element (5,1) violates the condition at 5"),
+], ids=["m101-17", "m015-1"])
+def test_pointwise_check_names_first_violation(request, monkeypatch, model, d, first):
+    # a stray bit above the cocycle width leaves the annihilator rows as they
+    # were but takes odd combinations of the image out of its span
+    image = twoselmer.selmer.kummer_image
+
+    def tampered(curve, d_class, place):
+        return tuple(c | 1 << 2 * place.width for c in image(curve, d_class, place))
+
+    monkeypatch.setattr(twoselmer.selmer, "kummer_image", tampered)
+    spec = twist_spec(request.getfixturevalue(model), d)
+    # element-major: the first basis element that fails anywhere, at its first such place
+    with pytest.raises(SoundnessAlarm, match=rf"^{re.escape(first)}$"):
+        selmer_group(spec, verify=True)
