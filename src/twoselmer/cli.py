@@ -27,7 +27,7 @@ from .curve import (
     sigma_set,
 )
 from .errors import BudgetExceeded, SoundnessAlarm
-from .local_descent import h_v, kummer_image
+from .local_descent import _sampled_image, h_v, kummer_image
 from .padic import Place, local_class, local_pairing, parse_place
 from .selmer import SelmerSpec, duality_check, selmer_group
 from .twist_lab import scan_records, summarize, twist_spec
@@ -216,12 +216,16 @@ def run_verify_suite(model: FullTwoTorsionModel, suite: str, trials: int, seed: 
             q = _random_good_prime(rng, model)
             place = Place(q)
             cls = 1 | rng.randint(0, 1) << 1
+            # the closed forms at a good prime against the sampler, valid at every place
+            a1, ax = (_sampled_image(model, c, place) for c in (0, cls))
+            closed_ok = all(
+                sorted(gf2.Span(kummer_image(model, c, place)).rows) == sorted(gf2.Span(img).rows)
+                for c, img in ((0, a1), (cls, ax))
+            )
             h = h_v(model, cls, place)
-            a1 = kummer_image(model, 0, place)
-            ax = kummer_image(model, cls, place)
             inter_dim = len(a1) + len(ax) - gf2.rank([*a1, *ax])
-            ok = h == 2 and not inter_dim
-            detail = {"q": q, "h": h, "intersection_dim": inter_dim}
+            ok = closed_ok and h == 2 and not inter_dim
+            detail = {"q": q, "h": h, "intersection_dim": inter_dim, "closed_form": closed_ok}
         elif suite == "babo":
             q = rng.choice(list(sigma) + [Place(p) for p in (3, 5, 7, 11) if Place(p) not in sigma])
             c1, c2 = _random_class(rng, q), _random_class(rng, q)

@@ -1,30 +1,37 @@
 """Local Kummer images alpha_v(chi), their dimensions and the norm index h_v.
 
-An image is its basis, a tuple of cocycles: the 2-torsion cocycles plus
-images of sampled local points, until the known a-priori dimension is
-reached, so the basis is certified and its length is the dimension.  Images
-are cached per (model, place, twist class), since a twist's local conditions
-depend only on its local square class.  h_v is read from one rank.
+An image is its basis, a tuple of cocycles.  At an odd prime q outside
+Sigma the curve has good reduction, so the image has a closed form: the
+unit cocycles for an unramified class, the 2-torsion cocycles for a
+ramified one, and h_q = 2 at every ramified q (Kramer, Trans. AMS 264
+(1981); Mazur-Rubin, Invent. Math. 181 (2010), section 2); Kramer's parity
+sum therefore runs over the places of Sigma only.  At the places of Sigma
+the 2-torsion cocycles are extended by images of sampled local points until
+the known a-priori dimension is reached, so the basis is certified and its
+length is the dimension.  Images are cached per (model, place, twist
+class), since a twist's local conditions depend only on its local square
+class.  h_v is read from one rank.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator
 
 from . import gf2
-from .curve import FullTwoTorsionModel
+from .curve import FullTwoTorsionModel, sigma_set
 from .errors import SamplingBudgetExceeded
 from .padic import Place, local_class, nonresidue, representative
 
 DEFAULT_SAMPLING_BUDGET = 10**5
 
 
-def _torsion_cocycles(roots: tuple[int, int, int], place: Place) -> list[int]:
+def _torsion_cocycles(roots: tuple[int, int, int], place: Place) -> tuple[int, int]:
     r1, r2, r3 = roots
     k = place.width
     t1 = local_class((r1 - r2) * (r1 - r3), place) | local_class(r1 - r2, place) << k
     t2 = local_class(r2 - r1, place) | local_class((r2 - r1) * (r2 - r3), place) << k
-    return [t1, t2]
+    return t1, t2
 
 
 def _sample_x(place: Place, roots: tuple[int, int, int]) -> Iterator[tuple[int, int]]:
@@ -69,60 +76,57 @@ def _sample_x(place: Place, roots: tuple[int, int, int]) -> Iterator[tuple[int, 
 
 _image_cache: dict[tuple, tuple[int, ...]] = {}
 
+# the unit cocycles (u, 1) and (1, u), u a non-residue: the unramified image
+_UNRAMIFIED = (0b10, 0b10 << 2)
+
+
+def _twisted_roots(model: FullTwoTorsionModel, d_class: int, place: Place) -> tuple[int, int, int]:
+    # Order matters: root i of the twist corresponds to root i of the base
+    # model under the canonical E[2] identification (e_i, 0) <-> (d e_i, 0).
+    rep = representative(place, d_class)
+    return tuple(rep * e for e in model.roots)
+
 
 def kummer_image(model: FullTwoTorsionModel, d_class: int, place: Place) -> tuple[int, ...]:
     """Certified basis of alpha_v for the local twist by d_class, in E[2] coordinates."""
     if not 0 <= d_class < 1 << place.width:
         raise ValueError(f"class {d_class} out of range at {place}")
     key = (model.roots, place, d_class)
-    cached = _image_cache.get(key)
-    if cached is not None:
-        return cached
+    image = _image_cache.get(key)
+    if image is None:
+        if place in sigma_set(model):
+            image = _sampled_image(model, d_class, place)
+        elif d_class & 1:
+            image = _torsion_cocycles(_twisted_roots(model, d_class, place), place)
+        else:
+            image = _UNRAMIFIED
+        _image_cache[key] = image
+    return image
 
-    # Order matters: root i of the twist corresponds to root i of the base
-    # model under the canonical E[2] identification (e_i, 0) <-> (d e_i, 0).
-    rep = representative(place, d_class)
-    roots = tuple(rep * e for e in model.roots)
+
+def _sampled_image(model: FullTwoTorsionModel, d_class: int, place: Place) -> tuple[int, ...]:
+    """alpha_v from the 2-torsion cocycles and sampled local points, valid at every place."""
+    roots = _twisted_roots(model, d_class, place)
     # dim E'(Q_v)/2E'(Q_v) = width: full rational 2-torsion survives every twist
     target = place.width
-
     span = gf2.Span()
-    basis: list[int] = []
-
-    def push(c: int) -> None:
-        if span.add(c):
-            basis.append(c)
-
-    for t in _torsion_cocycles(roots, place):
-        push(t)
+    basis = [t for t in _torsion_cocycles(roots, place) if span.add(t)]
+    # x - e_i = w_i / q has the class of w_i q, and f(x) that of w1 w2 w3 q
+    e1, e2, e3 = roots
+    for a, q in islice(_sample_x(place, roots), DEFAULT_SAMPLING_BUDGET):
         if span.dim == target:
             break
-
+        w1, w2, w3 = a - e1 * q, a - e2 * q, a - e3 * q
+        if not (w1 and w2 and w3) or local_class(w1 * w2 * w3 * q, place):
+            continue
+        c = local_class(w1 * q, place) | local_class(w2 * q, place) << place.width
+        if span.add(c):
+            basis.append(c)
     if span.dim < target:
-        # x - e_i = w_i / q has the class of w_i q, and f(x) that of w1 w2 w3 q
-        e1, e2, e3 = roots
-        remaining = DEFAULT_SAMPLING_BUDGET
-        for a, q in _sample_x(place, roots):
-            if remaining <= 0:
-                raise SamplingBudgetExceeded(
-                    f"kummer image at {place} for class {d_class} stuck at "
-                    f"dim {span.dim} < {target}"
-                )
-            remaining -= 1
-            w1, w2, w3 = a - e1 * q, a - e2 * q, a - e3 * q
-            if not (w1 and w2 and w3):
-                continue
-            if local_class(w1 * w2 * w3 * q, place):
-                continue
-            push(local_class(w1 * q, place) | local_class(w2 * q, place) << place.width)
-            if span.dim == target:
-                break
-        else:  # pragma: no cover - the sampler streams are infinite at finite places
-            raise SamplingBudgetExceeded("sample stream exhausted")
-
-    image = tuple(basis)
-    _image_cache[key] = image
-    return image
+        raise SamplingBudgetExceeded(
+            f"kummer image at {place} for class {d_class} stuck at dim {span.dim} < {target}"
+        )
+    return tuple(basis)
 
 
 def h_v(model: FullTwoTorsionModel, d_class: int, place: Place) -> int:

@@ -16,28 +16,30 @@ from typing import Iterator
 
 from .errors import FactorizationBudgetExceeded
 
-# The primes below 41: trial divisors of is_prime and factorize, and the
-# deterministic Miller–Rabin witness set, valid for n < 3.3e24.
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Fixed extra witnesses for larger inputs (probabilistic, deterministic run).
-_MR_EXTRA = (41, 43, 47, 53, 59, 61, 67, 71, 73)
+# The primes up to 41: trial divisors of is_prime and factorize, and the
+# Miller–Rabin witness set, deterministic below _MR_BOUND (the smallest
+# strong pseudoprime to these 13 bases; the first 12 stop at 3.2e23).
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 DEFAULT_RHO_BUDGET = 10**7
 
 
 def is_prime(n: int) -> bool:
+    """Exact primality; raises FactorizationBudgetExceeded from _MR_BOUND on."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n >= _MR_BOUND:
+        raise FactorizationBudgetExceeded(f"{n} is past the deterministic Miller-Rabin bound")
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    bases = _SMALL_PRIMES if n < 3_317_044_064_679_887_385_961_981 else _SMALL_PRIMES + _MR_EXTRA
-    for a in bases:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

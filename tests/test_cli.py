@@ -273,6 +273,19 @@ def test_verify_suites(capsys, suite):
     assert doc["passed"] == 5 and doc["failures"] == []
 
 
+def test_verify_ramhv_checks_closed_form_against_sampler(capsys, monkeypatch):
+    import twoselmer.local_descent
+
+    # a wrong unramified closed form: (u, 1) and (1, p u) instead of (1, u)
+    monkeypatch.setattr(twoselmer.local_descent, "_image_cache", {})
+    monkeypatch.setattr(twoselmer.local_descent, "_UNRAMIFIED", (0b10, 0b11 << 2))
+    code, out = run(capsys, "verify", "ramhv", "--curve=-1,0,1", "--trials=3", "--seed=1")
+    assert code == 2
+    doc = last_json(out)
+    assert doc["passed"] == 0
+    assert [f["closed_form"] for f in doc["failures"]] == [False] * 3
+
+
 def test_verify_rejects_nonpositive_trials(capsys):
     # unchecked, --trials 0 exits 0 having verified nothing and --trials -3 exits 2
     for trials in ("0", "-3"):
@@ -318,6 +331,24 @@ def test_soundness_alarm_exits_2(capsys, monkeypatch):
     for argv in (["descent", "--curve=-1,0,1"], ["search", "plus-one", "--curve=-1,0,1"]):
         assert main(argv) == 2
         assert capsys.readouterr().err == "soundness alarm: injected\n"
+
+
+def test_search_inc2_soundness_alarm_exits_2(capsys, monkeypatch):
+    import twoselmer.twist_lab
+
+    # a progression prime that does not raise the rank by 2 stops the search
+    monkeypatch.setattr(twoselmer.twist_lab, "rank_of_twist", lambda model, d: 2)
+    assert main(["search", "inc2", "--curve=-1,0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "soundness alarm: q=17 met all conditions but r went 2 -> 2\n"
+
+
+def test_factoring_past_the_primality_bound_exits_3(capsys):
+    # 2^89 - 1 is prime, but above the deterministic Miller-Rabin bound
+    assert main(["descent", "--curve=-1,0,1", f"--twist={2**89 - 1}"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exhausted: ") and "Miller-Rabin bound" in err
 
 
 def test_search_budget_exhaustion_exit_code(capsys):

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+import twoselmer.local_descent
+import twoselmer.twist_lab
 from twoselmer import gf2
 from twoselmer.curve import FullTwoTorsionModel, sigma_set
 from twoselmer.errors import SamplingBudgetExceeded
 from twoselmer.local_descent import (
     _sample_x,
+    _sampled_image,
     _torsion_cocycles,
     clear_image_cache,
     h_v,
@@ -21,6 +24,8 @@ from twoselmer.padic import (
     local_pairing,
     representative,
 )
+from twoselmer.twist_lab import scan_records
+from twoselmer.zarith import odd_primes
 
 SIGN = 1  # the nontrivial class at the real place
 
@@ -177,7 +182,7 @@ def test_multiplied_coordinates_convention_fails(m101):
 
 
 def test_image_cache_consistency(m101):
-    p = Place(5)
+    p = Place(2)  # a place of Sigma, where the image is sampled
     a = kummer_image(m101, 0, p)
     b = kummer_image(m101, 0, p)
     assert a is b
@@ -185,3 +190,46 @@ def test_image_cache_consistency(m101):
     c = kummer_image(m101, 0, p)
     assert c is not a
     assert sorted(gf2.reduce_rows(c)) == sorted(gf2.reduce_rows(a))
+
+
+def span_rows(basis):
+    """The reduced echelon rows of a basis, in a fixed order: one per span."""
+    return sorted(gf2.Span(basis).rows)
+
+
+def test_closed_form_equals_sampled_span(search_curves):
+    # outside Sigma kummer_image is the closed form; the sampler is its oracle
+    for m in search_curves:
+        sigma = sigma_set(m)
+        for q in itertools.takewhile(lambda q: q < 2000, odd_primes()):
+            place = Place(q)
+            if place in sigma:
+                continue
+            for c in range(4):
+                assert span_rows(kummer_image(m, c, place)) == span_rows(
+                    _sampled_image(m, c, place)
+                ), (m.roots, q, c)
+
+
+def test_sampler_runs_only_at_sigma(m015, monkeypatch):
+    seen, h_places = [], set()
+
+    def counting(model, d_class, place):
+        seen.append((place, d_class))
+        return _sampled_image(model, d_class, place)
+
+    def h_counting(model, d_class, place):
+        h_places.add(place)
+        return h_v(model, d_class, place)
+
+    monkeypatch.setattr(twoselmer.local_descent, "_image_cache", {})
+    monkeypatch.setattr(twoselmer.local_descent, "_sampled_image", counting)
+    monkeypatch.setattr(twoselmer.twist_lab, "h_v", h_counting)
+    records = list(scan_records(m015, 1000))
+    assert len(records) == 2 * 608
+    sigma = sigma_set(m015)
+    assert seen and {place for place, _ in seen} <= set(sigma)
+    # the parity sum reads h_v at the places of Sigma only
+    assert h_places == set(sigma)
+    # each (place, class) of Sigma at most once: 2 + 8 + 4 images
+    assert len(seen) == len(set(seen)) <= sum(1 << v.width for v in sigma)

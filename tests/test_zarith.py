@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from twoselmer.errors import FactorizationBudgetExceeded
 from twoselmer.padic import Place, local_class
 from twoselmer.zarith import (
     FactoredInteger,
@@ -32,6 +33,21 @@ def test_is_prime_larger():
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 + 1)  # 641 * 6700417
     assert not is_prime(561)  # Carmichael
+
+
+def test_is_prime_up_to_the_deterministic_bound():
+    # the smallest strong pseudoprime to the 12 bases 2..37 needs the 13th, 41
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    assert is_prime(2**61 - 1)
+    # from psi13, the smallest strong pseudoprime to the 13 bases 2..41, only
+    # a small prime factor is decided
+    psi13 = 3317044064679887385961981
+    assert not is_prime(psi13 - 1) and not is_prime(3 * (2**89 - 1))
+    for n in (psi13, 2**89 - 1):
+        with pytest.raises(FactorizationBudgetExceeded):
+            is_prime(n)
 
 
 def test_factorize_examples():
