@@ -264,7 +264,7 @@ def cmd_search(args) -> int:
     model = _load_model(args)
     try:
         if args.kind == "inc2":
-            witness = twist_lab.find_inc2(model, args.budget)
+            witness = twist_lab.find_inc2(model)
         else:
             witness = twist_lab.find_plus_one(model, args.budget)
     except BudgetExceeded as exc:
@@ -336,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="constructive twist searches")
     p.add_argument("kind", choices=["inc2", "plus-one"])
     p.add_argument("--curve", required=True)
-    p.add_argument("--budget", type=int, default=twist_lab.DEFAULT_PRIME_BUDGET)
+    p.add_argument("--budget", type=int, default=twist_lab.DEFAULT_PRIME_BUDGET,
+                   help="primes plus-one may try; inc2 tries one prime and ignores it")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("bound", help="report n, the 2n cap and t_hat checks from a summary")

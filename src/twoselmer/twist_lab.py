@@ -106,7 +106,7 @@ def character_candidates(
             yield s * q
 
 
-def find_inc2(model: FullTwoTorsionModel, budget: int = DEFAULT_PRIME_BUDGET) -> dict:
+def find_inc2(model: FullTwoTorsionModel) -> dict:
     """A prime twist raising the Selmer rank by exactly 2.
 
     The witness is the first prime q = 1 mod 8 and mod every odd Sigma
@@ -114,10 +114,8 @@ def find_inc2(model: FullTwoTorsionModel, budget: int = DEFAULT_PRIME_BUDGET) ->
     every Sigma-supported integer is a square mod q, so the current Selmer
     basis restricts trivially at q and E[4] is rational at q (the root
     differences are supported on Sigma).  It is checked by a full descent,
-    and a failure raises SoundnessAlarm, so a budget of one prime suffices.
+    and a failure raises SoundnessAlarm, so no other prime is ever tried.
     """
-    if budget < 1:
-        raise SearchBudgetExceeded("find_inc2 prime budget exhausted")
     r_before = base_rank(model)
     modulus = 8 * prod(v.p for v in sigma_set(model)[2:])  # the odd primes of Sigma
     q = next(q for q in count(1 + modulus, modulus) if is_prime(q))

@@ -26,14 +26,14 @@ DEFAULT_RHO_BUDGET = 10**7
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality; raises FactorizationBudgetExceeded from _MR_BOUND on."""
+    """Exact primality.  A witness proves n composite at any size; from
+    _MR_BOUND on, passing every base does not prove n prime, and that
+    verdict raises FactorizationBudgetExceeded."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    if n >= _MR_BOUND:
-        raise FactorizationBudgetExceeded(f"{n} is past the deterministic Miller-Rabin bound")
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -49,6 +49,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_BOUND:
+        raise FactorizationBudgetExceeded(f"{n} is past the deterministic Miller-Rabin bound")
     return True
 
 

@@ -40,6 +40,10 @@ def test_sigma_set_examples():
     s = sigma_set(FullTwoTorsionModel((-5, 0, 5)))
     assert [str(v) for v in s] == ["inf", "2", "5"]
     assert len(s) == 3
+    # the discriminant's part free of the primes up to 41 is
+    # (1000003 * 666733 * 250049)^2, past the deterministic Miller-Rabin bound
+    s = sigma_set(FullTwoTorsionModel((0, 1000003, 2000199)))
+    assert [str(v) for v in s] == ["inf", "2", "3", "250049", "666733", "1000003"]
 
 
 def test_twist_examples():

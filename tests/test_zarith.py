@@ -50,6 +50,13 @@ def test_is_prime_up_to_the_deterministic_bound():
             is_prime(n)
 
 
+def test_factorize_composites_past_the_deterministic_bound():
+    # a witness proves these composite, so rho splits them into factors below it
+    big = 4000000000000000037
+    assert 1000003 * big > 3317044064679887385961981
+    assert factorize(-1000003 * big) == FactoredInteger(-1, ((1000003, 1), (big, 1)))
+
+
 def test_factorize_examples():
     assert factorize(1) == FactoredInteger(1, ())
     assert factorize(-64) == FactoredInteger(-1, ((2, 6),))

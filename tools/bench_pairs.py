@@ -1,19 +1,19 @@
 """Alternating before/after runs of bench/run.py, written as one BENCH JSON file.
 
 Usage:
-  python3 tools/bench_pairs.py --parent REF --out BENCH_x.json [--pairs N]
-                               [--workloads scan,rescan,query] [--seed S]
-                               [--seconds T] [--label TEXT] [--machine TEXT]
+  python3 tools/bench_pairs.py --parent REF --out BENCH_x.json
 
 The parent side is an export of the git ref REF (``git archive``) into a
-temporary directory; the change side is this checkout's working tree.  For
-each workload the script runs N pairs, one run at a time: odd pairs run the
-parent first, even pairs the change first.  Each run is
-``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` and its
-last stdout line is kept.  Then each side runs the workload once with
-``--trace 1`` for the per-layer counts.  The file holds every run, and per
-workload and side the median and quartiles of each end-to-end metric, the
-failed ops, and on how many pairs the change had the higher twists_per_s.
+temporary directory; the change side is this checkout's working tree, named
+in the file by its commit id (marked when tracked files have uncommitted
+changes).  For each of the workloads scan, rescan and query the script runs
+10 pairs, one run at a time: odd pairs run the parent first, even pairs the
+change first.  Each run is ``python3 bench/run.py --workload W --seed 1
+--seconds 25 --trace 0`` (the benchmark's own command) and its last stdout
+line is kept.  Then each side runs the workload once with ``--trace 1`` for
+the per-layer counts.  The file holds every run, and per workload and side
+the median and quartiles of each end-to-end metric, the failed ops, and on
+how many pairs the change had the higher twists_per_s.
 """
 
 from __future__ import annotations
@@ -31,11 +31,15 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("scan", "rescan", "query")
+PAIRS = 10
+SEED = 1
+SECONDS = 25
 
 
-def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    argv = ["python3", "bench/run.py", f"--workload={workload}", f"--seed={seed}",
-            f"--seconds={seconds}", f"--trace={trace}"]
+def bench(root: Path, workload: str, trace: int) -> dict:
+    argv = ["python3", "bench/run.py", f"--workload={workload}", f"--seed={SEED}",
+            f"--seconds={SECONDS}", f"--trace={trace}"]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if not lines:
@@ -43,15 +47,34 @@ def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> d
     return json.loads(lines[-1])
 
 
+def git(*argv: str) -> str:
+    return subprocess.run(["git", *argv], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
 def export(ref: str, dest: Path) -> str:
     """Extract the tree of ref into dest; returns the commit id."""
-    sha = subprocess.run(["git", "rev-parse", ref], cwd=ROOT, capture_output=True,
-                         text=True, check=True).stdout.strip()
+    sha = git("rev-parse", ref)
     tar = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
         tf.extractall(dest, filter="data")
     return sha
+
+
+def machine() -> str:
+    cpuinfo = Path("/proc/cpuinfo")
+    lines = cpuinfo.read_text().splitlines() if cpuinfo.exists() else []
+    cpu = next((line.split(":", 1)[1].strip() for line in lines
+                if line.startswith("model name")), platform.processor())
+    return (f"{os.cpu_count()}-core {platform.machine()}, {cpu}, {platform.system()} "
+            f"{platform.release()}, Python {platform.python_version()}")
+
+
+def change_label() -> str:
+    """This checkout's commit id, marked when tracked files differ from it."""
+    dirty = git("status", "--porcelain", "--untracked-files=no")
+    return git("rev-parse", "HEAD") + (" with uncommitted changes" if dirty else "")
 
 
 def summarize(results: list[dict]) -> dict:
@@ -68,40 +91,29 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="git ref of the parent side")
     p.add_argument("--out", required=True, help="the BENCH JSON file to write")
-    p.add_argument("--pairs", type=int, default=4)
-    p.add_argument("--workloads", default="scan,rescan,query")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=25)
-    p.add_argument("--label", default="this checkout's working tree",
-                   help="what the change side is")
-    p.add_argument("--machine", default=f"{os.cpu_count()}-core {platform.machine()}, "
-                   f"{platform.system()} {platform.release()}, Python {platform.python_version()}")
     args = p.parse_args(argv)
-    if args.pairs < 2:
-        p.error("--pairs must be at least 2")
-    workloads = args.workloads.split(",")
 
     with tempfile.TemporaryDirectory() as tmp:
         parent_root = Path(tmp)
         sha = export(args.parent, parent_root)
         roots = {"parent": parent_root, "change": ROOT}
         doc = {
-            "command": f"python3 bench/run.py --workload W --seed {args.seed} "
-                       f"--seconds {args.seconds:g} --trace 0",
-            "machine": args.machine,
+            "command": f"python3 bench/run.py --workload W --seed {SEED} "
+                       f"--seconds {SECONDS} --trace 0",
+            "machine": machine(),
             "parent": sha,
-            "change": args.label,
+            "change": change_label(),
             "order": "pairs alternate: odd pairs run the parent first, even pairs the "
                      "change first; one run at a time",
             "summary": {},
             "runs": {},
         }
-        for w in workloads:
+        for w in WORKLOADS:
             runs = []
-            for pair in range(1, args.pairs + 1):
+            for pair in range(1, PAIRS + 1):
                 sides = ("parent", "change") if pair % 2 else ("change", "parent")
                 for side in sides:
-                    result = bench(roots[side], w, args.seed, args.seconds, 0)
+                    result = bench(roots[side], w, 0)
                     runs.append({"pair": pair, "side": side, "result": result})
                     tps = result["metrics"]["twists_per_s"]["value"]
                     print(f"{w} pair {pair} {side}: {tps:.1f} twists/s, "
@@ -111,13 +123,13 @@ def main(argv=None) -> int:
                        for q, c in zip(by_side["parent"], by_side["change"]))
             doc["summary"][w] = {
                 **{s: summarize(by_side[s]) for s in roots},
-                "twists_per_s_change_wins": f"{wins}/{args.pairs}",
+                "twists_per_s_change_wins": f"{wins}/{PAIRS}",
             }
             doc["runs"][w] = runs
             doc[f"traced_{w}"] = {
-                "command": f"python3 bench/run.py --workload {w} --seed {args.seed} "
-                           f"--seconds {args.seconds:g} --trace 1",
-                **{s: bench(roots[s], w, args.seed, args.seconds, 1) for s in roots},
+                "command": f"python3 bench/run.py --workload {w} --seed {SEED} "
+                           f"--seconds {SECONDS} --trace 1",
+                **{s: bench(roots[s], w, 1) for s in roots},
             }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
