@@ -28,7 +28,7 @@ from .curve import (
 )
 from .errors import BudgetExceeded, SoundnessAlarm
 from .local_descent import _sampled_image, h_v, kummer_image
-from .padic import Place, local_class, local_pairing, parse_place
+from .padic import REAL_PLACE, _name, _width, local_class, local_pairing, parse_place
 from .selmer import SelmerSpec, duality_check, selmer_group
 from .twist_lab import scan_records, summarize, twist_spec
 from .zarith import is_prime, is_squarefree
@@ -70,7 +70,7 @@ def _parse_record(line: str) -> twist_lab.TwistRecord:
     return twist_lab.TwistRecord(*(doc[k] for k in _RECORD_KEYS))
 
 
-def _parse_mask(text: str) -> tuple[Place, int]:
+def _parse_mask(text: str) -> tuple[int, int]:
     place_text, _, value = text.partition("=")
     if not value:
         raise ValueError(f"mask must look like place=value, got {text!r}")
@@ -78,7 +78,7 @@ def _parse_mask(text: str) -> tuple[Place, int]:
     if value == "trivial":
         return place, 0
     if value == "sign":
-        if not place.is_infinite:
+        if place != REAL_PLACE:
             raise ValueError("'sign' only makes sense at inf")
         return place, 1
     try:
@@ -175,15 +175,15 @@ def _random_squarefree(rng: random.Random, bound: int) -> int:
             return d
 
 
-def _random_class(rng: random.Random, place: Place) -> int:
+def _random_class(rng: random.Random, place: int) -> int:
     c = 0
-    for i in range(place.width):
+    for i in range(_width(place)):
         c |= rng.randint(0, 1) << i
     return c
 
 
 def _random_good_prime(rng: random.Random, model: FullTwoTorsionModel) -> int:
-    bad = {v.p for v in sigma_set(model) if v.p is not None}
+    bad = sigma_set(model)
     return rng.choice([p for p in range(3, 200) if is_prime(p) and p not in bad])
 
 
@@ -199,41 +199,40 @@ def run_verify_suite(model: FullTwoTorsionModel, suite: str, trials: int, seed: 
             ok = rec.parity_ok
             detail = {"d": d, "lhs": rec.parity_lhs, "rhs": rec.parity_rhs}
         elif suite == "duality":
-            pool = list(sigma) + [Place(p) for p in (3, 5, 7, 11, 13) if Place(p) not in sigma]
+            pool = list(sigma) + [p for p in (3, 5, 7, 11, 13) if p not in sigma]
             size = rng.randint(0, 2)
             T = frozenset(rng.sample(pool, size))
             ok, rep = duality_check(SelmerSpec(model), T)
             detail = rep
         elif suite == "isotropy":
-            v = rng.choice(list(sigma) + [Place(p) for p in (3, 5, 7) if Place(p) not in sigma])
+            v = rng.choice(list(sigma) + [p for p in (3, 5, 7) if p not in sigma])
             cls = _random_class(rng, v)
             img = kummer_image(model, cls, v)
             iso = all(local_pairing(v, a, b) == 0 for a in img for b in img)
-            ok = iso and len(img) * 2 == 2 * v.width
-            bits = [(cls >> i) & 1 for i in range(v.width)]
-            detail = {"place": str(v), "class": bits, "dim": len(img)}
+            ok = iso and len(img) * 2 == 2 * _width(v)
+            bits = [(cls >> i) & 1 for i in range(_width(v))]
+            detail = {"place": _name(v), "class": bits, "dim": len(img)}
         elif suite == "ramhv":
             q = _random_good_prime(rng, model)
-            place = Place(q)
             cls = 1 | rng.randint(0, 1) << 1
             # the closed forms at a good prime against the sampler, valid at every place
-            a1, ax = (_sampled_image(model, c, place) for c in (0, cls))
+            a1, ax = (_sampled_image(model, c, q) for c in (0, cls))
             closed_ok = all(
-                sorted(gf2.Span(kummer_image(model, c, place)).rows) == sorted(gf2.Span(img).rows)
+                sorted(gf2.Span(kummer_image(model, c, q)).rows) == sorted(gf2.Span(img).rows)
                 for c, img in ((0, a1), (cls, ax))
             )
-            h = h_v(model, cls, place)
+            h = h_v(model, cls, q)
             inter_dim = len(a1) + len(ax) - gf2.rank([*a1, *ax])
             ok = closed_ok and h == 2 and not inter_dim
             detail = {"q": q, "h": h, "intersection_dim": inter_dim, "closed_form": closed_ok}
         elif suite == "babo":
-            q = rng.choice(list(sigma) + [Place(p) for p in (3, 5, 7, 11) if Place(p) not in sigma])
+            q = rng.choice(list(sigma) + [p for p in (3, 5, 7, 11) if p not in sigma])
             c1, c2 = _random_class(rng, q), _random_class(rng, q)
             r1 = selmer_group(SelmerSpec(model, {q: c1})).dim
             r2 = selmer_group(SelmerSpec(model, {q: c2})).dim
             cap = len(kummer_image(model, 0, q))
             ok = abs(r1 - r2) <= cap
-            detail = {"place": str(q), "r1": r1, "r2": r2, "cap": cap}
+            detail = {"place": _name(q), "r1": r1, "r2": r2, "cap": cap}
         else:
             raise ValueError(f"unknown suite {suite!r}")
         if ok:
@@ -316,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", required=True)
     p.add_argument("--twist", type=int, default=1)
     p.add_argument("--mask", action="append")
-    p.set_defaults(func=cmd_descent)
 
     p = sub.add_parser("scan", help="scan twists up to a bound, writing records + summary")
     p.add_argument("--curve", required=True)
@@ -324,25 +322,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="scan-out")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--timing", action="store_true")
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="run a seeded random invariant suite")
     p.add_argument("suite", choices=["parity", "duality", "isotropy", "ramhv", "babo"])
     p.add_argument("--curve", default="-1,0,1")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="constructive twist searches")
     p.add_argument("kind", choices=["inc2", "plus-one"])
     p.add_argument("--curve", required=True)
     p.add_argument("--budget", type=int, default=twist_lab.DEFAULT_PRIME_BUDGET,
                    help="primes plus-one may try; inc2 tries one prime and ignores it")
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("bound", help="report n, the 2n cap and t_hat checks from a summary")
     p.add_argument("--summary", required=True)
-    p.set_defaults(func=cmd_bound)
     return parser
 
 
@@ -351,8 +345,11 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    # read from the module now, not when the cached parser was built, so a wrapped command runs
+    commands = {"descent": cmd_descent, "scan": cmd_scan, "verify": cmd_verify,
+                "search": cmd_search, "bound": cmd_bound}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
 
-from .padic import Place, REAL_PLACE, local_class
+from .padic import REAL_PLACE, local_class
 from .zarith import factorize, is_squarefree
 
 
@@ -69,11 +69,11 @@ class LongModel:
 
 
 @cache
-def sigma_set(model: FullTwoTorsionModel) -> tuple[Place, ...]:
+def sigma_set(model: FullTwoTorsionModel) -> tuple[int, ...]:
     """The places of Sigma in order: inf, 2, then the odd primes dividing the
     discriminant ascending.  Computed once per model."""
     bad = {p for p, _ in factorize(model.discriminant).factors if p != 2}
-    return (REAL_PLACE, Place(2), *(Place(p) for p in sorted(bad)))
+    return (REAL_PLACE, 2, *sorted(bad))
 
 
 def twist(model: FullTwoTorsionModel, d: int) -> FullTwoTorsionModel:
@@ -177,7 +177,7 @@ def require_full_model(parsed: FullTwoTorsionModel | LongModel) -> FullTwoTorsio
     return full
 
 
-def local_twist_classes(model: FullTwoTorsionModel, d: int) -> dict[Place, int]:
+def local_twist_classes(model: FullTwoTorsionModel, d: int) -> dict[int, int]:
     """Nontrivial local classes of a twist d at Sigma and at the primes of d.
 
     The one check of a twist parameter: raises ValueError unless d is a
@@ -186,14 +186,6 @@ def local_twist_classes(model: FullTwoTorsionModel, d: int) -> dict[Place, int]:
     factors = factorize(d).factors if d else None
     if factors is None or any(e > 1 for _, e in factors):
         raise ValueError(f"twist parameter must be a nonzero squarefree integer, got {d}")
-    places = list(sigma_set(model))
-    sigma_primes = {v.p for v in places}
-    for p, _ in factors:
-        if p not in sigma_primes:
-            places.append(Place(p))
-    out = {}
-    for v in places:
-        cls = local_class(d, v)
-        if cls:
-            out[v] = cls
-    return out
+    sigma = sigma_set(model)
+    places = [*sigma, *(p for p, _ in factors if p not in sigma)]
+    return {v: c for v in places if (c := local_class(d, v))}

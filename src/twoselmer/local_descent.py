@@ -21,32 +21,25 @@ from typing import Iterator
 from . import gf2
 from .curve import FullTwoTorsionModel, sigma_set
 from .errors import SamplingBudgetExceeded
-from .padic import Place, local_class, nonresidue, representative
+from .padic import _name, _width, local_class, nonresidue, representative
 
 DEFAULT_SAMPLING_BUDGET = 10**5
 
 
-def _torsion_cocycles(roots: tuple[int, int, int], place: Place) -> tuple[int, int]:
+def _torsion_cocycles(roots: tuple[int, int, int], place: int) -> tuple[int, int]:
     r1, r2, r3 = roots
-    k = place.width
+    k = _width(place)
     t1 = local_class((r1 - r2) * (r1 - r3), place) | local_class(r1 - r2, place) << k
     t2 = local_class(r2 - r1, place) | local_class((r2 - r1) * (r2 - r3), place) << k
     return t1, t2
 
 
-def _sample_x(place: Place, roots: tuple[int, int, int]) -> Iterator[tuple[int, int]]:
-    """Deterministic stream of x-values dense enough in Q_v.
+def _sample_x(p: int, roots: tuple[int, int, int]) -> Iterator[tuple[int, int]]:
+    """Deterministic stream of x-values dense enough in Q_p, p a prime.
 
     Each sample x = a/q is the integer pair (a, q) with q > 0: the class of
     a/b is the class of ab, so the caller never builds a rational.
     """
-    if place.is_infinite:
-        for j in range(7):
-            q = 2**j
-            for a in range(-4096, 4097):
-                yield a, q
-        return
-    p = place.p
     # near-root ladder: x = r + t * p^m with t hitting both residue signs
     if p == 2:
         ts = [1, 3, 5, 7]
@@ -80,17 +73,17 @@ _image_cache: dict[tuple, tuple[int, ...]] = {}
 _UNRAMIFIED = (0b10, 0b10 << 2)
 
 
-def _twisted_roots(model: FullTwoTorsionModel, d_class: int, place: Place) -> tuple[int, int, int]:
+def _twisted_roots(model: FullTwoTorsionModel, d_class: int, place: int) -> tuple[int, int, int]:
     # Order matters: root i of the twist corresponds to root i of the base
     # model under the canonical E[2] identification (e_i, 0) <-> (d e_i, 0).
     rep = representative(place, d_class)
     return tuple(rep * e for e in model.roots)
 
 
-def kummer_image(model: FullTwoTorsionModel, d_class: int, place: Place) -> tuple[int, ...]:
+def kummer_image(model: FullTwoTorsionModel, d_class: int, place: int) -> tuple[int, ...]:
     """Certified basis of alpha_v for the local twist by d_class, in E[2] coordinates."""
-    if not 0 <= d_class < 1 << place.width:
-        raise ValueError(f"class {d_class} out of range at {place}")
+    if not 0 <= d_class < 1 << _width(place):
+        raise ValueError(f"class {d_class} out of range at {_name(place)}")
     key = (model.roots, place, d_class)
     image = _image_cache.get(key)
     if image is None:
@@ -104,32 +97,33 @@ def kummer_image(model: FullTwoTorsionModel, d_class: int, place: Place) -> tupl
     return image
 
 
-def _sampled_image(model: FullTwoTorsionModel, d_class: int, place: Place) -> tuple[int, ...]:
+def _sampled_image(model: FullTwoTorsionModel, d_class: int, place: int) -> tuple[int, ...]:
     """alpha_v from the 2-torsion cocycles and sampled local points, valid at every place."""
     roots = _twisted_roots(model, d_class, place)
     # dim E'(Q_v)/2E'(Q_v) = width: full rational 2-torsion survives every twist
-    target = place.width
+    target = _width(place)
     span = gf2.Span()
     basis = [t for t in _torsion_cocycles(roots, place) if span.add(t)]
+    # at inf they already reach width 1: t1 = 0 makes r1 the largest root, so r2 - r1 < 0 in t2
+    samples = _sample_x(place, roots) if span.dim < target else ()
     # x - e_i = w_i / q has the class of w_i q, and f(x) that of w1 w2 w3 q
     e1, e2, e3 = roots
-    for a, q in islice(_sample_x(place, roots), DEFAULT_SAMPLING_BUDGET):
-        if span.dim == target:
-            break
+    for a, q in islice(samples, DEFAULT_SAMPLING_BUDGET):
         w1, w2, w3 = a - e1 * q, a - e2 * q, a - e3 * q
         if not (w1 and w2 and w3) or local_class(w1 * w2 * w3 * q, place):
             continue
-        c = local_class(w1 * q, place) | local_class(w2 * q, place) << place.width
+        c = local_class(w1 * q, place) | local_class(w2 * q, place) << target
         if span.add(c):
             basis.append(c)
+            if span.dim == target:
+                break
     if span.dim < target:
-        raise SamplingBudgetExceeded(
-            f"kummer image at {place} for class {d_class} stuck at dim {span.dim} < {target}"
-        )
+        raise SamplingBudgetExceeded(f"kummer image at {_name(place)} for class {d_class} "
+                                     f"stuck at dim {span.dim} < {target}")
     return tuple(basis)
 
 
-def h_v(model: FullTwoTorsionModel, d_class: int, place: Place) -> int:
+def h_v(model: FullTwoTorsionModel, d_class: int, place: int) -> int:
     """Kramer's local norm index h_v = dim alpha_v(1) - dim(alpha_v(1) ∩ alpha_v(chi))."""
     if not d_class:
         return 0

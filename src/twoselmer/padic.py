@@ -1,7 +1,10 @@
 """Local fields Q_v: square classes, Hilbert symbols and the local pairing.
 
-A square class in Q_v^x / (Q_v^x)^2 is a plain int of ``place.width``
-bits, 0 being the trivial class and XOR the group law:
+A place is the integer that generates its square classes in Q(Sigma', 2):
+``REAL_PLACE = -1`` for the real place and p for the prime p, so integer
+order puts inf first and a sorted tuple of places is the generator order.
+A square class in Q_v^x / (Q_v^x)^2 is a plain int of ``_width(v)`` bits,
+0 being the trivial class and XOR the group law:
 
 - real place: bit 0 is the sign;
 - odd prime p: bit 0 is the valuation parity, bit 1 is set when the unit
@@ -10,14 +13,13 @@ bits, 0 being the trivial class and XOR the group law:
   on the generators -1 and 5.
 
 A local cocycle in H^1(Q_v, E[2]) (split E[2]) is a pair of classes packed
-as ``first | second << place.width``.  Classes of global rationals are
+as ``first | second << _width(v)``.  Classes of global rationals are
 computed from valuations and residues of integers, since the class of a/b
 is the class of ab; no p-adic precision is ever involved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Rational
 
@@ -26,44 +28,26 @@ from .zarith import is_prime, legendre, valuation
 # unit mod 8 -> bit 1 (on -1) and bit 2 (on 5)
 _MOD8_BITS = {1: 0b000, 3: 0b110, 5: 0b100, 7: 0b010}
 
-
-@dataclass(frozen=True, order=True)
-class Place:
-    """A place of Q: the real place (p is None) or a finite prime."""
-
-    p: int | None = None
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.p is None
-
-    @property
-    def width(self) -> int:
-        """F2-dimension of Q_v^x / (Q_v^x)^2."""
-        if self.p is None:
-            return 1
-        return 3 if self.p == 2 else 2
-
-    def sort_key(self) -> int:
-        return 0 if self.p is None else self.p
-
-    def __str__(self) -> str:
-        return "inf" if self.p is None else str(self.p)
-
-    def __repr__(self) -> str:
-        return f"Place({self})"
+REAL_PLACE = -1
 
 
-REAL_PLACE = Place(None)
+def _width(place: int) -> int:
+    """F2-dimension of Q_v^x / (Q_v^x)^2."""
+    return 1 if place < 0 else 3 if place == 2 else 2
 
 
-def parse_place(text: str) -> Place:
+def _name(place: int) -> str:
+    """The place as records and messages print it: "inf" or the prime."""
+    return "inf" if place < 0 else str(place)
+
+
+def parse_place(text: str) -> int:
     if text in ("inf", "oo", "infinity"):
         return REAL_PLACE
     p = int(text)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return Place(p)
+    return p
 
 
 @lru_cache(maxsize=None)
@@ -75,48 +59,45 @@ def nonresidue(p: int) -> int:
     return a
 
 
-def local_class(r: Rational, place: Place) -> int:
+def local_class(r: Rational, place: int) -> int:
     """Image of a nonzero rational in Q_v^x / (Q_v^x)^2: the class of a/b is that of ab."""
     n = r.numerator * r.denominator
     if n == 0:
         raise ValueError("0 has no square class")
-    p = place.p
-    if p is None:
+    if place < 0:
         return 1 if n < 0 else 0
-    v = valuation(n, p)
-    u = n // p**v
-    if p == 2:
+    v = valuation(n, place)
+    u = n // place**v
+    if place == 2:
         return (v & 1) | _MOD8_BITS[u % 8]
-    return (v & 1) | (0 if legendre(u, p) == 1 else 2)
+    return (v & 1) | (0 if legendre(u, place) == 1 else 2)
 
 
-def representative(place: Place, c: int) -> int:
+def representative(place: int, c: int) -> int:
     """A squarefree integer lying in the class c at the place."""
-    p = place.p
-    if p is None:
+    if place < 0:
         return -1 if c else 1
-    n = p if c & 1 else 1
-    if p == 2:
+    n = place if c & 1 else 1
+    if place == 2:
         return n * (-1 if c & 2 else 1) * (5 if c & 4 else 1)
-    return n * (nonresidue(p) if c & 2 else 1)
+    return n * (nonresidue(place) if c & 2 else 1)
 
 
-def hilbert(place: Place, a: int, b: int) -> int:
+def hilbert(place: int, a: int, b: int) -> int:
     """Hilbert symbol (a,b)_v: +1 iff z^2 = a x^2 + b y^2 has a Q_v-point."""
-    p = place.p
-    if p is None:
+    if place < 0:
         e = a & b
-    elif p == 2:
+    elif place == 2:
         # epsilon(u) = (u-1)/2 is the -1 bit, omega(u) = (u^2-1)/8 is the 5 bit
         e = ((a >> 1) & (b >> 1)) ^ (a & (b >> 2)) ^ (b & (a >> 2))
     else:
-        e = (a & b & ((p - 1) // 2)) ^ (b & (a >> 1)) ^ (a & (b >> 1))
+        e = (a & b & ((place - 1) // 2)) ^ (b & (a >> 1)) ^ (a & (b >> 1))
     return -1 if e & 1 else 1
 
 
-def local_pairing(place: Place, x: int, y: int) -> int:
+def local_pairing(place: int, x: int, y: int) -> int:
     """Tate local duality pairing of two cocycles in coordinates, additive in F2."""
-    k = place.width
+    k = _width(place)
     low = (1 << k) - 1
     h = hilbert(place, x & low, y >> k) * hilbert(place, x >> k, y & low)
     return 0 if h == 1 else 1

@@ -1,14 +1,15 @@
 """Global 2-Selmer groups as F2 kernels, Poitou-Tate checks and mask collapsing.
 
 A Selmer element is a pair (d1, d2) of square classes supported on Sigma'.
-It is one int of 2m bits, the kernel vector itself: over the m generators
-(-1, *primes of Sigma' ascending), bit i says whether generator i divides
-d1 and bit m + i whether it divides d2.  ``SelmerResult.basis_values``
-decodes the vectors into signed squarefree pairs, the only other form.  The
-group is the kernel of one F2 matrix whose rows are the local conditions at
-the places of Sigma'; nothing is enumerated.  Every local condition is a
-basis tuple: the Kummer image, the empty tuple at a strict place and all 2k
-unit cocycles at a relaxed one, so one loop builds every row.
+It is one int of 2m bits, the kernel vector itself: over the m places of
+Sigma' ascending, each its own generator (-1 for inf, p for p), bit i says
+whether generator i divides d1 and bit m + i whether it divides d2.
+``SelmerResult.basis_values`` decodes the vectors into signed squarefree
+pairs, the only other form.  The group is the kernel of one F2 matrix whose
+rows are the local conditions at the places of Sigma'; nothing is
+enumerated.  Every local condition is a basis tuple: the Kummer image, the
+empty tuple at a strict place and all 2k unit cocycles at a relaxed one, so
+one loop builds every row.
 """
 
 from __future__ import annotations
@@ -20,15 +21,10 @@ from . import gf2
 from .curve import FullTwoTorsionModel, sigma_set
 from .errors import SearchBudgetExceeded, SoundnessAlarm
 from .local_descent import kummer_image
-from .padic import Place, local_class, local_pairing
+from .padic import _name, _width, local_class, local_pairing
 from .zarith import legendre, odd_primes
 
 DEFAULT_PRIME_BUDGET = 10**6
-
-
-def _generators(places: tuple[Place, ...]) -> tuple[int, ...]:
-    """Generators (-1, p1, p2, ...) of Q(Sigma', 2); -1 stands for the real place."""
-    return (-1, *sorted(v.p for v in places if v.p is not None))
 
 
 def _value(generators: tuple[int, ...], bits: int) -> int:
@@ -44,9 +40,9 @@ class SelmerSpec:
     """A Selmer group computation: model, local twist masks, strict/relaxed places."""
 
     model: FullTwoTorsionModel
-    masks: dict[Place, int] = field(default_factory=dict)
-    strict: frozenset[Place] = frozenset()
-    relaxed: frozenset[Place] = frozenset()
+    masks: dict[int, int] = field(default_factory=dict)
+    strict: frozenset[int] = frozenset()
+    relaxed: frozenset[int] = frozenset()
 
     def validate(self) -> None:
         mask_places = set(self.masks)
@@ -58,38 +54,35 @@ class SelmerSpec:
 class SelmerResult:
     dim: int
     basis: list[int]
-    sigma_prime: tuple[Place, ...]
+    sigma_prime: tuple[int, ...]
 
     def basis_values(self) -> list[tuple[int, int]]:
-        gens = _generators(self.sigma_prime)
+        gens = self.sigma_prime
         return [(_value(gens, vec), _value(gens, vec >> len(gens))) for vec in self.basis]
 
-    def to_record(self, model: FullTwoTorsionModel, masks: dict[Place, int]) -> dict:
+    def to_record(self, model: FullTwoTorsionModel, masks: dict[int, int]) -> dict:
         return {
             "curve": str(model),
-            "sigma_prime": [str(v) for v in self.sigma_prime],
+            "sigma_prime": [_name(v) for v in self.sigma_prime],
             "masks": {
-                str(v): [(c >> i) & 1 for i in range(v.width)] for v, c in masks.items()
+                _name(v): [(c >> i) & 1 for i in range(_width(v))] for v, c in masks.items()
             },
             "dim": self.dim,
             "basis": [[a, b] for a, b in self.basis_values()],
         }
 
 
-def _sigma_prime(spec: SelmerSpec) -> tuple[Place, ...]:
-    places = set(sigma_set(spec.model))
-    places.update(spec.masks)
-    places.update(spec.strict)
-    places.update(spec.relaxed)
-    return tuple(sorted(places, key=lambda v: v.sort_key()))
+def _sigma_prime(spec: SelmerSpec) -> tuple[int, ...]:
+    """Sigma' ascending: the places and, in this order, the generators of Q(Sigma', 2)."""
+    return tuple(sorted({*sigma_set(spec.model), *spec.masks, *spec.strict, *spec.relaxed}))
 
 
-def _local_condition(spec: SelmerSpec, v: Place) -> tuple[int, ...]:
+def _local_condition(spec: SelmerSpec, v: int) -> tuple[int, ...]:
     """Basis of the condition at v: none if strict, all cocycles if relaxed, else alpha_v."""
     if v in spec.strict:
         return ()
     if v in spec.relaxed:
-        return tuple(1 << j for j in range(2 * v.width))
+        return tuple(1 << j for j in range(2 * _width(v)))
     return kummer_image(spec.model, spec.masks.get(v, 0), v)
 
 
@@ -97,16 +90,15 @@ def selmer_group(spec: SelmerSpec, verify: bool = False) -> SelmerResult:
     """Kernel computation of the (masked / strict / relaxed) 2-Selmer group."""
     spec.validate()
     places = _sigma_prime(spec)
-    generators = _generators(places)
-    m = len(generators)
+    m = len(places)
 
     rows: list[int] = []
-    conditions: list[tuple[Place, tuple[int, ...]]] = []
+    conditions: list[tuple[int, tuple[int, ...]]] = []
     for v in places:
-        k = v.width
+        k = _width(v)
         condition = _local_condition(spec, v)
         # restriction at v, one row per cocycle bit over the 2m generator coordinates
-        loc = [local_class(g, v) for g in generators]
+        loc = [local_class(g, v) for g in places]
         res = [sum(((c >> i) & 1) << j for j, c in enumerate(loc)) for i in range(k)]
         res += [r << m for r in res]
         # each check annihilates the condition under the bit-dot pairing
@@ -132,24 +124,24 @@ def _verify_pointwise(result: SelmerResult, conditions) -> None:
         for v, span in spans:
             if not span.contains(restriction((a, b), v)):
                 raise SoundnessAlarm(
-                    f"basis element ({a},{b}) violates the condition at {v}"
+                    f"basis element ({a},{b}) violates the condition at {_name(v)}"
                 )
 
 
-def restriction(pair: tuple[int, int], place: Place) -> int:
+def restriction(pair: tuple[int, int], place: int) -> int:
     """The local cocycle of a global value pair at a place."""
     a, b = pair
-    return local_class(a, place) | local_class(b, place) << place.width
+    return local_class(a, place) | local_class(b, place) << _width(place)
 
 
-def duality_check(spec: SelmerSpec, T: frozenset[Place]) -> tuple[bool, dict]:
+def duality_check(spec: SelmerSpec, T: frozenset[int]) -> tuple[bool, dict]:
     """Poitou-Tate: dimension identity over T plus direct cross-orthogonality."""
     dim_strict = selmer_group(replace(spec, strict=spec.strict | T)).dim
     relaxed = selmer_group(replace(spec, relaxed=spec.relaxed | T))
     dim_relaxed = relaxed.dim
     expected = sum(len(kummer_image(spec.model, spec.masks.get(v, 0), v)) for v in T)
     report = {
-        "T": [str(v) for v in sorted(T, key=lambda v: v.sort_key())],
+        "T": [_name(v) for v in sorted(T)],
         "dim_strict": dim_strict,
         "dim_relaxed": dim_relaxed,
         "expected_gap": expected,
@@ -200,18 +192,16 @@ def collapse_masks(spec: SelmerSpec) -> list[tuple[int, int]]:
     k = result.dim - n
     if not 2 <= k <= n:
         raise ValueError(f"needs dim = n + k with 2 <= k <= n; got dim {result.dim}, n {n}")
-    generators = _generators(places)
-    m = len(generators)
 
     # t_i(s) = (bit i of d1, bit i of d2); greedy selection of 2-jumps
     maps = []
-    for i in range(m):
-        rows = [((vec >> i) & 1) | (((vec >> (m + i)) & 1) << 1) for vec in result.basis]
+    for i in range(n):
+        rows = [((vec >> i) & 1) | (((vec >> (n + i)) & 1) << 1) for vec in result.basis]
         maps.append(rows)
     selected: list[int] = []
     acc = [0] * result.dim
     prev_rank = 0
-    for i in range(m):
+    for i in range(n):
         acc = [acc[j] | (maps[i][j] << (2 * i)) for j in range(result.dim)]
         r = gf2.rank(acc)
         if r == prev_rank + 2:
@@ -229,7 +219,6 @@ def collapse_masks(spec: SelmerSpec) -> list[tuple[int, int]]:
 
     out: list[tuple[int, int]] = []
     for i in selected:
-        w = _find_frobenius_prime(generators, i)
-        place = Place(w)
-        out.append((w, local_class(w, place)))
+        w = _find_frobenius_prime(places, i)
+        out.append((w, local_class(w, w)))
     return out

@@ -16,7 +16,7 @@ from typing import Iterator
 from .curve import FullTwoTorsionModel, local_twist_classes, sigma_set
 from .errors import SearchBudgetExceeded, SoundnessAlarm
 from .local_descent import h_v
-from .padic import Place, REAL_PLACE, local_class
+from .padic import REAL_PLACE, local_class
 from .selmer import DEFAULT_PRIME_BUDGET, SelmerSpec, selmer_group
 from .zarith import is_prime, odd_primes
 
@@ -85,7 +85,7 @@ def parity_check(model: FullTwoTorsionModel, d: int) -> TwistRecord:
 
 def character_candidates(
     model: FullTwoTorsionModel,
-    at_sigma: dict[Place, int],
+    at_sigma: dict[int, int],
     budget: int = DEFAULT_PRIME_BUDGET,
 ) -> Iterator[int]:
     """Squarefree d = s*q with the local classes at_sigma at every place of
@@ -97,8 +97,8 @@ def character_candidates(
     residues of q at Sigma are left to test.
     """
     sigma = sigma_set(model)
-    s = prod(-1 if v.is_infinite else v.p for v in sigma if at_sigma.get(v, 0) & 1)
-    outside = (q for q in odd_primes() if Place(q) not in sigma)
+    s = prod(v for v in sigma if at_sigma.get(v, 0) & 1)
+    outside = (q for q in odd_primes() if q not in sigma)
     for tried, q in enumerate(outside, 1):
         if tried > budget:
             raise SearchBudgetExceeded("character prime search budget exceeded")
@@ -117,7 +117,7 @@ def find_inc2(model: FullTwoTorsionModel) -> dict:
     and a failure raises SoundnessAlarm, so no other prime is ever tried.
     """
     r_before = base_rank(model)
-    modulus = 8 * prod(v.p for v in sigma_set(model)[2:])  # the odd primes of Sigma
+    modulus = 8 * prod(sigma_set(model)[2:])  # the odd primes of Sigma
     q = next(q for q in count(1 + modulus, modulus) if is_prime(q))
     r_after = rank_of_twist(model, q)
     if r_after != r_before + 2:

@@ -21,7 +21,7 @@ from twoselmer.local_descent import (
     h_v,
     kummer_image,
 )
-from twoselmer.padic import Place, REAL_PLACE, local_class, local_pairing
+from twoselmer.padic import REAL_PLACE, _name, _width, local_class, local_pairing
 from twoselmer.selmer import SelmerSpec, collapse_masks, duality_check, selmer_group
 from twoselmer.twist_lab import find_inc2, scan_records, summarize
 
@@ -74,7 +74,7 @@ def bruteforce_base_oracle():
     for d1 in (1, -1, 2, -2):
         for d2 in (1, -1, 2, -2):
             if solvable(REAL_PLACE, real_xs, d1, d2) and solvable(
-                Place(2), two_xs, d1, d2
+                2, two_xs, d1, d2
             ):
                 found.add((d1, d2))
     return found
@@ -136,9 +136,9 @@ def run_pipeline():
     for i in range(50):
         m = FullTwoTorsionModel(CORPUS[i % 3])
         pool = list(sigma_set(m)) + [
-            Place(p)
+            p
             for p in (3, 5, 7, 11, 13, 17)
-            if Place(p) not in sigma_set(m)
+            if p not in sigma_set(m)
         ]
         T = frozenset(rng.sample(pool, rng.randint(0, 2)))
         ok, rep = duality_check(SelmerSpec(m), T)
@@ -153,14 +153,14 @@ def run_pipeline():
     checked = 0
     bad = []
     for (roots, place, c), img in sorted(
-        _image_cache.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key(), kv[0][2])
+        _image_cache.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
     ):
         checked += 1
         iso = all(local_pairing(place, a, b) == 0 for a in img for b in img)
-        half = 2 * len(img) == 2 * place.width
+        half = 2 * len(img) == 2 * _width(place)
         if not (iso and half):
-            bits = [(c >> i) & 1 for i in range(place.width)]
-            bad.append({"roots": roots, "place": str(place), "bits": bits})
+            bits = [(c >> i) & 1 for i in range(_width(place))]
+            bad.append({"roots": roots, "place": _name(place), "bits": bits})
     out["c4"] = {"images_checked": checked, "violations": bad}
 
     # --- criterion 5: Lemma ramhv on seeded random ramified classes --------
@@ -168,11 +168,11 @@ def run_pipeline():
     ramhv = {"trials": 0, "passed": 0, "failures": []}
     for roots in CORPUS:
         m = FullTwoTorsionModel(roots)
-        bad_p = {v.p for v in sigma_set(m) if v.p is not None}
+        bad_p = sigma_set(m)
         primes = [p for p in range(3, 200) if p not in bad_p and is_prime_(p)]
         for _ in range(20):
             q = rng.choice(primes)
-            place = Place(q)
+            place = q
             cls = 1 | rng.randint(0, 1) << 1
             a1 = kummer_image(m, 0, place)
             ax = kummer_image(m, cls, place)
@@ -222,9 +222,9 @@ def run_pipeline():
         n = len(sigma_set(m))
         masked_ranks = []
         for v in sigma_set(m):
-            for bits in range(1, 1 << v.width):
+            for bits in range(1, 1 << _width(v)):
                 dim = selmer_group(SelmerSpec(m, {v: bits})).dim
-                masked_ranks.append({"place": str(v), "bits": bits, "dim": dim})
+                masked_ranks.append({"place": _name(v), "bits": bits, "dim": dim})
         c9[str(roots)] = {
             "t_hat": summary.t_hat,
             "n": n,
@@ -250,7 +250,7 @@ def run_pipeline():
     spec = SelmerSpec(tm)
     masks = collapse_masks(spec)
     collapsed = selmer_group(
-        SelmerSpec(tm, {Place(w): c for w, c in masks}), verify=True
+        SelmerSpec(tm, {w: c for w, c in masks}), verify=True
     ).dim
     out["c10"] = {
         "d": d10,

@@ -6,6 +6,9 @@ import twoselmer.curve
 import twoselmer.zarith
 from twoselmer import cli
 from twoselmer.cli import main
+from twoselmer.local_descent import kummer_image
+from twoselmer.padic import REAL_PLACE, parse_place
+from twoselmer.selmer import SelmerSpec, duality_check
 
 
 def run(capsys, *argv):
@@ -86,7 +89,7 @@ def test_parser_is_built_once_per_process():
 def test_reused_parser_keeps_no_state_between_calls(capsys):
     argv = ["descent", "--curve=-1,0,1", "--twist=17"]
     args = cli.build_parser.__wrapped__().parse_args(argv)
-    assert args.func(args) == 0
+    assert cli.cmd_descent(args) == 0
     fresh = capsys.readouterr().out
     code, masked = run(capsys, *argv, "--mask", "inf=sign")
     assert code == 0 and "inf" in last_json(masked)["masks"]
@@ -96,6 +99,38 @@ def test_reused_parser_keeps_no_state_between_calls(capsys):
     assert main(["nosuch"]) == 1
     capsys.readouterr()
     assert run(capsys, *argv) == (0, fresh)
+
+
+def test_main_looks_up_the_command_when_it_runs(capsys, monkeypatch):
+    # a wrapper installed after the parser was cached is what runs
+    cli.build_parser()
+    seen = []
+
+    def wrapped(args):
+        seen.append(args.twist)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_descent", wrapped)
+    assert main(["descent", "--curve=-1,0,1", "--twist=17"]) == 0
+    assert seen == [17]
+
+
+def test_real_place_is_spelled_inf(capsys, m101):
+    code, out = run(capsys, "descent", "--curve=-1,0,1", "--mask", "inf=sign")
+    doc = last_json(out)
+    assert code == 0
+    assert doc["sigma_prime"] == ["inf", "2"] and doc["masks"] == {"inf": [1]}
+    _, report = duality_check(SelmerSpec(m101), frozenset({REAL_PLACE}))
+    assert report["T"] == ["inf"]
+    with pytest.raises(ValueError, match="^class 2 out of range at inf$"):
+        kummer_image(m101, 2, REAL_PLACE)
+    # -1 generates the square classes at inf, but it is no prime to name a place by
+    with pytest.raises(ValueError, match="^-1 is not prime$"):
+        parse_place("-1")
+    assert main(["descent", "--curve=-1,0,1", "--mask=-1=3"]) == 1
+    assert "-1 is not prime" in capsys.readouterr().err
+    assert main(["descent", "--curve=-1,0,1", "--mask", "-1=3"]) == 1
+    capsys.readouterr()
 
 
 def test_scan_outputs_and_determinism(tmp_path, capsys):

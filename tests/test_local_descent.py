@@ -18,8 +18,9 @@ from twoselmer.local_descent import (
     kummer_image,
 )
 from twoselmer.padic import (
-    Place,
     REAL_PLACE,
+    _name,
+    _width,
     local_class,
     local_pairing,
     representative,
@@ -31,49 +32,49 @@ SIGN = 1  # the nontrivial class at the real place
 
 
 def all_places():
-    return [REAL_PLACE, Place(2), Place(3), Place(5), Place(13)]
+    return [REAL_PLACE, 2, 3, 5, 13]
 
 
 def test_expected_local_dim(m101):
     # dim E'(Q_v)/2E'(Q_v) is the class width for every twist of a full 2-torsion model
-    assert Place(5).width == 2
-    assert REAL_PLACE.width == 1
-    assert Place(2).width == 3
-    for place in (REAL_PLACE, Place(2), Place(5)):
-        for c in range(1 << place.width):
-            assert len(kummer_image(m101, c, place)) == place.width
+    assert _width(5) == 2
+    assert _width(REAL_PLACE) == 1
+    assert _width(2) == 3
+    for place in (REAL_PLACE, 2, 5):
+        for c in range(1 << _width(place)):
+            assert len(kummer_image(m101, c, place)) == _width(place)
 
 
 def test_kummer_image_rejects_out_of_range_class(m101):
-    for place, c in ((REAL_PLACE, 2), (Place(5), 4), (Place(2), 8), (REAL_PLACE, -1)):
+    for place, c in ((REAL_PLACE, 2), (5, 4), (2, 8), (REAL_PLACE, -1)):
         with pytest.raises(ValueError):
             kummer_image(m101, c, place)
 
 
 def test_kummer_image_dims(m101):
     assert len(kummer_image(m101, 0, REAL_PLACE)) == 1
-    assert len(kummer_image(m101, 0, Place(5))) == 2
-    assert len(kummer_image(m101, 0, Place(2))) == 3
+    assert len(kummer_image(m101, 0, 5)) == 2
+    assert len(kummer_image(m101, 0, 2)) == 3
 
 
 def test_kummer_image_odd_good_is_torsion_span(m101):
     # at a good odd prime with E[4] not fully rational the 2-torsion generates
-    p = Place(5)
+    p = 5
     img = kummer_image(m101, 0, p)
     e1, e2, e3 = m101.roots
     t1 = ((e1 - e2) * (e1 - e3), e1 - e2)
     t2 = (e2 - e1, (e2 - e1) * (e2 - e3))
     for a, b in (t1, t2):
-        c = local_class(a, p) | (local_class(b, p) << p.width)
+        c = local_class(a, p) | (local_class(b, p) << _width(p))
         assert gf2.Span(img).contains(c)
 
 
 def test_isotropy_and_half_dimension(corpus):
     for m in corpus:
         for place in all_places():
-            for c in range(1 << place.width):
+            for c in range(1 << _width(place)):
                 img = kummer_image(m, c, place)
-                assert 2 * len(img) == 2 * place.width
+                assert 2 * len(img) == 2 * _width(place)
                 for a in img:
                     for b in img:
                         assert local_pairing(place, a, b) == 0
@@ -82,7 +83,7 @@ def test_isotropy_and_half_dimension(corpus):
 def test_unramified_twist_stability(m101):
     # at q outside Sigma an unramified nontrivial class does not move the image
     for q in (3, 5, 7, 13):
-        p = Place(q)
+        p = q
         unram = 0b10
         a = kummer_image(m101, 0, p)
         b = kummer_image(m101, unram, p)
@@ -92,11 +93,11 @@ def test_unramified_twist_stability(m101):
 def test_good_reduction_image_is_unramified(m101):
     # both components have even valuation: the valuation bits vanish
     for q in (3, 5, 7):
-        p = Place(q)
+        p = q
         img = kummer_image(m101, 0, p)
         for c in img:
             assert c & 1 == 0
-            assert (c >> p.width) & 1 == 0
+            assert (c >> _width(p)) & 1 == 0
 
 
 def test_h_v_examples(corpus):
@@ -106,9 +107,9 @@ def test_h_v_examples(corpus):
         assert h_v(m, SIGN, REAL_PLACE) == 1
     # ramified class at a good odd prime
     for q in (3, 7, 13):
-        p = Place(q)
+        p = q
         for m in corpus:
-            if q in {v.p for v in sigma_set(m)}:
+            if q in sigma_set(m):
                 continue
             assert h_v(m, 0b01, p) == 2
             assert h_v(m, 0b11, p) == 2
@@ -124,11 +125,11 @@ def enumerate_span(rows):
 def test_ramhv_intersection_trivial(corpus):
     rng = random.Random(11)
     for m in corpus:
-        bad = {v.p for v in sigma_set(m) if v.p is not None}
+        bad = sigma_set(m)
         primes = [p for p in (3, 7, 11, 13, 17, 19, 23) if p not in bad]
         for _ in range(10):
             q = rng.choice(primes)
-            place = Place(q)
+            place = q
             cls = 1 | rng.randint(0, 1) << 1
             a1 = kummer_image(m, 0, place)
             ax = kummer_image(m, cls, place)
@@ -136,12 +137,19 @@ def test_ramhv_intersection_trivial(corpus):
             assert h_v(m, cls, place) == 2
 
 
+def real_x():
+    """A finite stream of x = a / 2^j at inf: the library never samples there."""
+    for j in range(7):
+        for a in range(-4096, 4097):
+            yield a, 2**j
+
+
 def multiplied_image(model, d_class, place, budget=10**5):
     """kummer_image under the wrong identification, which multiplies both
     cocycle coordinates of every nontrivial cocycle by the twist class."""
     rep = representative(place, d_class)
     roots = tuple(rep * e for e in model.roots)
-    k = place.width
+    k = _width(place)
     shift = d_class | d_class << k
     span = gf2.Span()
     basis = []
@@ -154,20 +162,23 @@ def multiplied_image(model, d_class, place, budget=10**5):
     for t in _torsion_cocycles(roots, place):
         if push(t):
             return basis
-    for a, q in itertools.islice(_sample_x(place, roots), budget):
+    xs = real_x() if place == REAL_PLACE else _sample_x(place, roots)
+    for a, q in itertools.islice(xs, budget):
         x = Fraction(a, q)
         if x in roots:
             continue
         if local_class((x - roots[0]) * (x - roots[1]) * (x - roots[2]), place) == 0:
             if push(local_class(x - roots[0], place) | local_class(x - roots[1], place) << k):
                 return basis
-    raise SamplingBudgetExceeded(f"wrong-convention image at {place} stuck at dim {span.dim}")
+    raise SamplingBudgetExceeded(
+        f"wrong-convention image at {_name(place)} stuck at dim {span.dim}"
+    )
 
 
 def test_multiplied_coordinates_convention_fails(m101):
     # the alternative identification must violate isotropy at a ramified
     # odd place ...
-    p5 = Place(5)
+    p5 = 5
     wrong = multiplied_image(m101, 0b01, p5)
     violations = [
         (a, b)
@@ -181,8 +192,19 @@ def test_multiplied_coordinates_convention_fails(m101):
         multiplied_image(m101, SIGN, REAL_PLACE)
 
 
+def test_real_place_never_samples(corpus, monkeypatch):
+    # one of the two torsion cocycles is nonzero at inf for distinct real roots
+    def no_sampling(place, roots):
+        raise AssertionError(f"sampled at {_name(place)}")
+
+    monkeypatch.setattr(twoselmer.local_descent, "_sample_x", no_sampling)
+    for m in corpus:
+        for c in (0, SIGN):
+            assert len(_sampled_image(m, c, REAL_PLACE)) == 1
+
+
 def test_image_cache_consistency(m101):
-    p = Place(2)  # a place of Sigma, where the image is sampled
+    p = 2  # a place of Sigma, where the image is sampled
     a = kummer_image(m101, 0, p)
     b = kummer_image(m101, 0, p)
     assert a is b
@@ -202,7 +224,7 @@ def test_closed_form_equals_sampled_span(search_curves):
     for m in search_curves:
         sigma = sigma_set(m)
         for q in itertools.takewhile(lambda q: q < 2000, odd_primes()):
-            place = Place(q)
+            place = q
             if place in sigma:
                 continue
             for c in range(4):
@@ -232,4 +254,4 @@ def test_sampler_runs_only_at_sigma(m015, monkeypatch):
     # the parity sum reads h_v at the places of Sigma only
     assert h_places == set(sigma)
     # each (place, class) of Sigma at most once: 2 + 8 + 4 images
-    assert len(seen) == len(set(seen)) <= sum(1 << v.width for v in sigma)
+    assert len(seen) == len(set(seen)) <= sum(1 << _width(v) for v in sigma)

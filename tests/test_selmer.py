@@ -7,7 +7,7 @@ import pytest
 import twoselmer.selmer
 from twoselmer.curve import FullTwoTorsionModel, sigma_set, twist
 from twoselmer.errors import SoundnessAlarm
-from twoselmer.padic import Place, REAL_PLACE, local_class
+from twoselmer.padic import REAL_PLACE, _width, local_class
 from twoselmer.selmer import (
     SelmerResult,
     SelmerSpec,
@@ -23,7 +23,7 @@ SIGN = 1  # the nontrivial class at the real place
 
 def test_global_class_basis():
     # an element is a kernel vector over (-1, 2, 5): low 3 bits d1, high 3 bits d2
-    sigma_prime = (REAL_PLACE, Place(2), Place(5))
+    sigma_prime = (REAL_PLACE, 2, 5)
     result = SelmerResult(2, [0b101 | 0b111 << 3, 0], sigma_prime)
     assert result.basis_values() == [(-5, -10), (1, 1)]
 
@@ -68,7 +68,7 @@ def test_strict_relaxed_examples(m101):
     base = selmer_group(spec).dim
     s0, r0 = strict_relaxed_dims(spec, frozenset())
     assert s0 == r0 == base
-    s5, r5 = strict_relaxed_dims(spec, frozenset({Place(5)}))
+    s5, r5 = strict_relaxed_dims(spec, frozenset({5}))
     assert r5 - s5 == 2
     si, ri = strict_relaxed_dims(spec, frozenset({REAL_PLACE}))
     assert ri - si == 1
@@ -78,24 +78,24 @@ def test_duality_examples(m101):
     spec = SelmerSpec(m101)
     ok, rep = duality_check(spec, frozenset())
     assert ok
-    ok, rep = duality_check(spec, frozenset({Place(5)}))
+    ok, rep = duality_check(spec, frozenset({5}))
     assert ok and rep["expected_gap"] == 2
-    ok, rep = duality_check(spec, frozenset({Place(5), Place(13)}))
+    ok, rep = duality_check(spec, frozenset({5, 13}))
     assert ok and rep["expected_gap"] == 4 and rep["orthogonal"]
 
 
 def test_duality_rejects_mask_place_in_T(m101):
     with pytest.raises(ValueError):
-        duality_check(SelmerSpec(m101, {Place(5): 1}), frozenset({Place(5)}))
+        duality_check(SelmerSpec(m101, {5: 1}), frozenset({5}))
 
 
 def test_duality_seeded_random(corpus):
     rng = random.Random(12)
     for m in corpus:
         pool = list(sigma_set(m)) + [
-            Place(p)
+            p
             for p in (3, 5, 7, 11, 13)
-            if Place(p) not in sigma_set(m)
+            if p not in sigma_set(m)
         ]
         for _ in range(8):
             T = frozenset(rng.sample(pool, rng.randint(0, 2)))
@@ -112,7 +112,7 @@ def test_mask_strict_overlap_rejected(m101):
 def test_frobenius_eval_examples():
     # at an odd q outside the support, Frobenius is the unit bit of the class
     def frob(pair, q):
-        return tuple(local_class(d, Place(q)) >> 1 for d in pair)
+        return tuple(local_class(d, q) >> 1 for d in pair)
 
     assert frob((1, 1), 7) == (0, 0)
     assert frob((-1, 2), 5) == (0, 1)
@@ -124,7 +124,7 @@ def test_prop_2n_bound(corpus):
     for m in corpus:
         n = len(sigma_set(m))
         for v in sigma_set(m):
-            for bits in range(1, 1 << v.width):
+            for bits in range(1, 1 << _width(v)):
                 dim = selmer_group(SelmerSpec(m, {v: bits})).dim
                 assert dim <= 2 * n
 
@@ -134,11 +134,11 @@ def test_babo_single_mask_change(corpus):
 
     rng = random.Random(13)
     for m in corpus:
-        places = list(sigma_set(m)) + [Place(11)]
+        places = list(sigma_set(m)) + [11]
         for _ in range(6):
             v = rng.choice(places)
-            c1 = rng.getrandbits(v.width)
-            c2 = rng.getrandbits(v.width)
+            c1 = rng.getrandbits(_width(v))
+            c2 = rng.getrandbits(_width(v))
             r1 = selmer_group(SelmerSpec(m, {v: c1})).dim
             r2 = selmer_group(SelmerSpec(m, {v: c2})).dim
             cap = len(kummer_image(m, 0, v))
@@ -151,12 +151,12 @@ def test_mask_parity(corpus):
     rng = random.Random(14)
     for m in corpus:
         base = selmer_group(SelmerSpec(m)).dim
-        places = list(sigma_set(m)) + [Place(7)]
+        places = list(sigma_set(m)) + [7]
         for _ in range(6):
             masks = {}
             hsum = 0
             for v in rng.sample(places, rng.randint(1, len(places))):
-                c = rng.getrandbits(v.width)
+                c = rng.getrandbits(_width(v))
                 masks[v] = c
                 hsum += h_v(m, c, v)
             dim = selmer_group(SelmerSpec(m, masks)).dim
@@ -165,7 +165,7 @@ def test_mask_parity(corpus):
 
 def test_extra_good_prime_conditions_are_redundant(m101):
     base = selmer_group(SelmerSpec(m101)).dim
-    masks = {Place(p): 0 for p in (7, 11, 13)}
+    masks = {p: 0 for p in (7, 11, 13)}
     assert selmer_group(SelmerSpec(m101, masks), verify=True).dim == base
 
 
@@ -186,7 +186,7 @@ def test_collapse_masks_drop(m101):
     for w, cls in masks:
         assert cls & 1  # ramified
     collapsed = selmer_group(
-        SelmerSpec(tm, {Place(w): c for w, c in masks}), verify=True
+        SelmerSpec(tm, {w: c for w, c in masks}), verify=True
     )
     assert collapsed.dim == result.dim - 2 * k
 
@@ -211,7 +211,7 @@ def test_pointwise_check_names_first_violation(request, monkeypatch, model, d, f
     image = twoselmer.selmer.kummer_image
 
     def tampered(curve, d_class, place):
-        return tuple(c | 1 << 2 * place.width for c in image(curve, d_class, place))
+        return tuple(c | 1 << 2 * _width(place) for c in image(curve, d_class, place))
 
     monkeypatch.setattr(twoselmer.selmer, "kummer_image", tampered)
     spec = twist_spec(request.getfixturevalue(model), d)

@@ -6,7 +6,7 @@ import pytest
 
 from twoselmer.curve import FullTwoTorsionModel, sigma_set, twist
 from twoselmer.local_descent import h_v
-from twoselmer.padic import Place, REAL_PLACE, local_class
+from twoselmer.padic import REAL_PLACE, _name, _width, local_class
 from twoselmer.selmer import SelmerSpec, selmer_group
 import twoselmer.twist_lab
 from twoselmer.errors import SearchBudgetExceeded
@@ -55,7 +55,7 @@ def test_parity_examples(m101):
     assert (rec.d, rec.rank, rec.sigma_prime_size, rec.ms) == (-1, 2, 2, 0)
     # -1 is nontrivial at inf and at 2, and each norm index is 1
     assert h_v(m101, 1, REAL_PLACE) == 1
-    assert h_v(m101, local_class(-1, Place(2)), Place(2)) == 1
+    assert h_v(m101, local_class(-1, 2), 2) == 1
 
 
 def test_parity_small_range(corpus):
@@ -66,13 +66,13 @@ def test_parity_small_range(corpus):
 
 def test_build_character_examples():
     m33 = FullTwoTorsionModel((-3, 0, 3))  # Sigma = {inf, 2, 3}
-    assert [str(v) for v in sigma_set(m33)] == ["inf", "2", "3"]
+    assert [_name(v) for v in sigma_set(m33)] == ["inf", "2", "3"]
     d = next(character_candidates(m33, {REAL_PLACE: SIGN}))
     assert d == -23
 
     m101 = FullTwoTorsionModel((-1, 0, 1))
     # of the d supported on Sigma = {inf, 2}, only 1 is trivial at every place
-    units = [-1] + [v.p for v in sigma_set(m101) if v.p is not None]
+    units = sigma_set(m101)  # each place is its generator: -1 for inf
     supported = [
         math.prod(u for i, u in enumerate(units) if (bits >> i) & 1)
         for bits in range(1 << len(units))
@@ -84,7 +84,7 @@ def test_build_character_examples():
 
 def test_build_character_matches_prescription():
     m = FullTwoTorsionModel((0, 1, 5))
-    pres = {REAL_PLACE: SIGN, Place(5): 0b10}
+    pres = {REAL_PLACE: SIGN, 5: 0b10}
     d = next(character_candidates(m, pres))
     for v in sigma_set(m):
         assert local_class(d, v) == pres.get(v, 0)
@@ -93,13 +93,13 @@ def test_build_character_matches_prescription():
 def _subset_candidates(model, at_sigma):
     """The exhaustive search: every Sigma-supported s against each prime q outside Sigma."""
     sigma = sigma_set(model)
-    units = [-1] + [v.p for v in sigma if v.p is not None]
+    units = sigma  # each place is its generator: -1 for inf
     subsets = [
         math.prod(u for i, u in enumerate(units) if (bits >> i) & 1)
         for bits in range(1 << len(units))
     ]
     for q in itertools.count(3):
-        if not is_prime(q) or Place(q) in sigma:
+        if not is_prime(q) or q in sigma:
             continue
         for s in subsets:
             if all(local_class(s * q, v) == at_sigma.get(v, 0) for v in sigma):
@@ -114,8 +114,8 @@ def test_character_candidates_against_subset_search(search_curves):
     for m in search_curves:
         sigma = sigma_set(m)
         for _ in range(25):
-            pres = {v: rng.randrange(1 << v.width) for v in sigma}
-            odd_valuation_at.update(v.p == 2 for v in sigma if v.p and pres[v] & 1)
+            pres = {v: rng.randrange(1 << _width(v)) for v in sigma}
+            odd_valuation_at.update(v == 2 for v in sigma if v != REAL_PLACE and pres[v] & 1)
             expected = list(itertools.islice(_subset_candidates(m, pres), 8))
             got = list(itertools.islice(character_candidates(m, pres), 8))
             assert got == expected, (m.roots, pres)
@@ -210,8 +210,8 @@ def test_multiplicative_h_check():
     m = FullTwoTorsionModel((0, 1, 5))
     assert len({e % 5 for e in m.roots}) == 2
     assert valuation(m.discriminant, 5) % 2 == 0
-    assert h_v(m, 0b10, Place(5)) == 1
-    assert h_v(m, 0, Place(5)) == 0
+    assert h_v(m, 0b10, 5) == 1
+    assert h_v(m, 0, 5) == 0
 
 
 def test_base_rank(corpus):

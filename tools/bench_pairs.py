@@ -13,7 +13,8 @@ change first.  Each run is ``python3 bench/run.py --workload W --seed 1
 line is kept.  Then each side runs the workload once with ``--trace 1`` for
 the per-layer counts.  The file holds every run, and per workload and side
 the median and quartiles of each end-to-end metric, the failed ops, and on
-how many pairs the change had the higher twists_per_s.
+how many pairs the change had the higher twists_per_s.  ``src_lines`` gives
+each side's ``wc -l src/twoselmer/*.py`` total, the design metric.
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ def export(ref: str, dest: Path) -> str:
     return sha
 
 
+def src_lines(root: Path) -> int:
+    """The total of ``wc -l src/twoselmer/*.py`` in a checkout."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "twoselmer").glob("*.py"))
+
+
 def machine() -> str:
     cpuinfo = Path("/proc/cpuinfo")
     lines = cpuinfo.read_text().splitlines() if cpuinfo.exists() else []
@@ -103,6 +109,7 @@ def main(argv=None) -> int:
             "machine": machine(),
             "parent": sha,
             "change": change_label(),
+            "src_lines": {s: src_lines(root) for s, root in roots.items()},
             "order": "pairs alternate: odd pairs run the parent first, even pairs the "
                      "change first; one run at a time",
             "summary": {},
