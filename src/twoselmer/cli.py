@@ -1,8 +1,9 @@
 """Command-line surface: descent, scan, verify, search, bound.
 
 All output is line-delimited JSON records (streams) or one JSON document
-(summaries), with a schema_version field.  Reruns with the same arguments
-are byte-identical; scan timing is therefore off unless --timing is given.
+(summaries), each written by ``_dump``, which stamps the schema_version field.
+Reruns with the same arguments are byte-identical; scan timing is therefore
+off unless --timing is given.
 
 Exit codes: 0 success, 1 usage, 2 verification failure (a failed check or a
 soundness alarm), 3 budget exhausted.
@@ -42,25 +43,18 @@ EXIT_BUDGET = 3
 
 
 def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """The CLI's one serializer: compact, key-sorted JSON stamped with the schema version."""
+    return json.dumps({**obj, "schema_version": SCHEMA_VERSION}, sort_keys=True,
+                      separators=(",", ":"))
+
+
+# the keys of a records.jsonl line that hold the TwistRecord fields, in field order
+_RECORD_KEYS = ("d", "rank", "parity_lhs", "parity_rhs", "sigma_prime", "ms")
 
 
 def _record_line(rec: twist_lab.TwistRecord) -> str:
     """One records.jsonl line; ``_parse_record`` reads it back."""
-    doc = {
-        "d": rec.d,
-        "rank": rec.rank,
-        "parity_lhs": rec.parity_lhs,
-        "parity_rhs": rec.parity_rhs,
-        "sigma_prime": rec.sigma_prime_size,
-        "ms": rec.ms,
-        "schema_version": SCHEMA_VERSION,
-    }
-    return _dump(doc) + "\n"
-
-
-# the keys of _record_line that hold the TwistRecord fields, in field order
-_RECORD_KEYS = ("d", "rank", "parity_lhs", "parity_rhs", "sigma_prime", "ms")
+    return _dump(dict(zip(_RECORD_KEYS, vars(rec).values()))) + "\n"
 
 
 def _parse_record(line: str) -> twist_lab.TwistRecord:
@@ -97,9 +91,7 @@ def cmd_descent(args) -> int:
     spec = twist_spec(model, args.twist)
     spec.masks.update(_parse_mask(m) for m in args.mask or [])
     result = selmer_group(spec, verify=True)
-    record = result.to_record(model, spec.masks)
-    record["schema_version"] = SCHEMA_VERSION
-    print(_dump(record))
+    print(_dump(result.to_record(model, spec.masks)))
     return EXIT_OK
 
 
@@ -120,12 +112,7 @@ def cmd_scan(args) -> int:
     records_path = os.path.join(out_dir, "records.jsonl")
     summary_path = os.path.join(out_dir, "summary.json")
     manifest_path = os.path.join(out_dir, "scan.json")
-    manifest = _dump({
-        "curve": str(model),
-        "bound": args.bound,
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
-    }) + "\n"
+    manifest = _dump({"curve": str(model), "bound": args.bound, "version": __version__}) + "\n"
 
     done_through = 0
     records: list[twist_lab.TwistRecord] = []
@@ -159,10 +146,11 @@ def cmd_scan(args) -> int:
             fh.write(_record_line(rec))
             fh.flush()
     summary = summarize(model, args.bound, records)
-    doc = dataclasses.asdict(summary)
-    doc["curve"] = str(model)
-    doc["schema_version"] = SCHEMA_VERSION
-    doc["rank_histogram"] = {str(k): v for k, v in summary.rank_histogram.items()}
+    doc = {
+        **dataclasses.asdict(summary),
+        "curve": str(model),
+        "rank_histogram": {str(k): v for k, v in summary.rank_histogram.items()},
+    }
     _replace_file(summary_path, _dump(doc) + "\n")
     print(_dump(doc))
     return EXIT_VERIFY if summary.parity_failures else EXIT_OK
@@ -246,7 +234,6 @@ def run_verify_suite(model: FullTwoTorsionModel, suite: str, trials: int, seed: 
         "passed": passed,
         "seed": seed,
         "failures": failures,
-        "schema_version": SCHEMA_VERSION,
     }
 
 
@@ -267,12 +254,9 @@ def cmd_search(args) -> int:
         else:
             witness = twist_lab.find_plus_one(model, args.budget)
     except BudgetExceeded as exc:
-        print(_dump({"error": str(exc), "schema_version": SCHEMA_VERSION}))
+        print(_dump({"error": str(exc)}))
         return EXIT_BUDGET
-    witness = dict(witness)
-    witness["kind"] = args.kind
-    witness["schema_version"] = SCHEMA_VERSION
-    print(_dump(witness))
+    print(_dump({**witness, "kind": args.kind}))
     return EXIT_OK
 
 
@@ -290,15 +274,8 @@ def cmd_bound(args) -> int:
             f"{args.summary} is not a scan summary with integer n and t_hat "
             "and bound_checks of booleans"
         )
-    n = doc["n"]
-    report = {
-        "n": n,
-        "two_n_cap": 2 * n,
-        "t_hat": doc["t_hat"],
-        "bound_checks": doc["bound_checks"],
-        "schema_version": SCHEMA_VERSION,
-    }
-    print(_dump(report))
+    print(_dump({"n": doc["n"], "two_n_cap": 2 * doc["n"], "t_hat": doc["t_hat"],
+                 "bound_checks": doc["bound_checks"]}))
     return EXIT_OK if all(doc["bound_checks"].values()) else EXIT_VERIFY
 
 

@@ -55,17 +55,9 @@ class LongModel:
 
     @property
     def discriminant(self) -> Fraction:
-        b2 = self.a1**2 + 4 * self.a2
-        b4 = 2 * self.a4 + self.a1 * self.a3
-        b6 = self.a3**2 + 4 * self.a6
-        b8 = (
-            self.a1**2 * self.a6
-            + 4 * self.a2 * self.a6
-            - self.a1 * self.a3 * self.a4
-            + self.a2 * self.a3**2
-            - self.a4**2
-        )
-        return -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
+        """16 times the discriminant of the 2-division cubic."""
+        p, q, r = self.two_division_cubic()
+        return 16 * (p * p * q * q - 4 * q**3 - 4 * p**3 * r - 27 * r * r + 18 * p * q * r)
 
 
 @cache
@@ -83,68 +75,65 @@ def twist(model: FullTwoTorsionModel, d: int) -> FullTwoTorsionModel:
     return FullTwoTorsionModel(tuple(sorted(d * e for e in model.roots)))
 
 
-def _rational_roots_of_cubic(c2: Fraction, c1: Fraction, c0: Fraction) -> list[Fraction]:
-    """Distinct rational roots of x^3 + c2 x^2 + c1 x + c0."""
-    den = lcm(c2.denominator, c1.denominator, c0.denominator)
-    # integer polynomial a3 X^3 + a2 X^2 + a1 X + a0 with X = x
-    a3, a2, a1, a0 = den, c2 * den, c1 * den, c0 * den
-    a2, a1, a0 = int(a2), int(a1), int(a0)
+def _integer_roots(b: int, c: int, d: int) -> list[int]:
+    """Distinct integer roots, ascending, of g(X) = X^3 + bX^2 + cX + d.
 
-    def divisors(n: int) -> list[int]:
-        n = abs(n)
-        if n == 0:
-            return [0]
-        ds = {1}
-        for p, e in factorize(n).factors:
-            ds = {d * p**k for d in ds for k in range(e + 1)}
-        return sorted(ds)
+    Every real root lies in [-M, M] with M = 1 + max(|b|, |c|, |d|).  The
+    integers just outside the critical points (-b -+ sqrt(b^2 - 3c)) / 3 cut
+    that range into at most three stretches on which g is monotone, and a
+    bisection finds the one possible integer root of each.  Nothing is factored.
+    """
 
-    roots: set[Fraction] = set()
-    if a0 == 0:
-        roots.add(Fraction(0))
-        # factor out x and solve the quadratic a3 x^2 + a2 x + a1 = 0
-        disc = a2 * a2 - 4 * a3 * a1
-        if disc >= 0:
-            s = _isqrt_exact(disc)
-            if s is not None:
-                for sgn in (1, -1):
-                    roots.add(Fraction(-a2 + sgn * s, 2 * a3))
-        return sorted(roots)
-    for p in divisors(a0):
-        for q in divisors(a3):
-            for sgn in (1, -1):
-                x = Fraction(sgn * p, q)
-                if a3 * x**3 + a2 * x**2 + a1 * x + a0 == 0:
-                    roots.add(x)
+    def g(x: int) -> int:
+        return ((x + b) * x + c) * x + d
+
+    m = 1 + max(abs(b), abs(c), abs(d))
+    stretches = [(-m, m)]
+    if (disc := b * b - 3 * c) > 0:
+        s = isqrt(disc)
+        t = s + (s * s != disc)  # the ceiling of sqrt(disc)
+        stretches = [(-m, (-b - t) // 3), (-((b + s) // 3), (s - b) // 3), (-((b - t) // 3), m)]
+    roots = set()
+    for lo, hi in stretches:
+        sign = 1 if g(hi) >= g(lo) else -1
+        # the least x of the stretch with sign * g(x) >= 0 is its root, if it has one
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if sign * g(mid) >= 0 else (mid + 1, hi)
+        if g(lo) == 0:
+            roots.add(lo)
     return sorted(roots)
 
 
-def _isqrt_exact(n: int) -> int | None:
-    s = isqrt(n)
-    return s if s * s == n else None
+@cache
+def _rational_roots(m: LongModel) -> tuple[Fraction, ...]:
+    """The rational roots of the 2-division cubic, ascending: with X = den x
+    the cubic is a monic integer cubic, whose rational roots are integers.
+    Computed once per model, so a rejected model is searched once."""
+    if m.discriminant == 0:
+        raise ValueError("singular model")
+    c2, c1, c0 = m.two_division_cubic()
+    den = lcm(c2.denominator, c1.denominator, c0.denominator)
+    roots = _integer_roots(int(c2 * den), int(c1 * den**2), int(c0 * den**3))
+    return tuple(Fraction(x, den) for x in roots)
 
 
 def torsion_two_structure(m: LongModel) -> int:
     """dim_F2 E(Q)[2]: the number of rational roots of the 2-division cubic
     mapped 3 -> 2, 1 -> 1, 0 -> 0."""
-    if m.discriminant == 0:
-        raise ValueError("singular model")
-    roots = _rational_roots_of_cubic(*m.two_division_cubic())
-    return {3: 2, 1: 1, 0: 0}[len(roots)]
+    return min(len(_rational_roots(m)), 2)
 
 
 def full_model_from_long(m: LongModel) -> FullTwoTorsionModel | None:
     """Clear a long model with split 2-division cubic to an integral model;
     None when the cubic does not have three rational roots."""
-    if m.discriminant == 0:
-        raise ValueError("singular model")
-    roots = _rational_roots_of_cubic(*m.two_division_cubic())
+    roots = _rational_roots(m)
     if len(roots) != 3:
         return None
     den = lcm(*(r.denominator for r in roots))
     # x -> u^2 x with u^2 = den^2 keeps the curve isomorphic and roots integral
     u2 = den * den
-    return FullTwoTorsionModel(tuple(sorted(int(r * u2) for r in roots)))
+    return FullTwoTorsionModel(tuple(int(r * u2) for r in roots))
 
 
 def parse_curve(text: str) -> FullTwoTorsionModel | LongModel:

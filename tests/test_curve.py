@@ -1,12 +1,15 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import twoselmer.curve
 from twoselmer.curve import (
     FullTwoTorsionModel,
     LongModel,
+    _integer_roots,
     full_model_from_long,
     local_twist_classes,
     parse_curve,
@@ -91,6 +94,62 @@ def test_full_models_have_torsion_two():
         p = e1 * e2 + e1 * e3 + e2 * e3
         q = e1 * e2 * e3
         assert torsion_two_structure(LongModel(0, -s, 0, p, -q)) == 2
+
+
+def test_long_model_discriminant():
+    # LMFDB: 37a1 and 11a1
+    assert LongModel(0, 0, 1, -1, 0).discriminant == 37
+    assert LongModel(0, -1, 1, -10, -20).discriminant == -161051
+    assert LongModel(0, 0, 0, -1, 0).discriminant == 64
+    for roots in [(-1, 0, 1), (0, 1, 5), (-7, 1, 20)]:
+        e1, e2, e3 = roots
+        long = LongModel(0, -(e1 + e2 + e3), 0, e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3)
+        assert long.discriminant == FullTwoTorsionModel(roots).discriminant
+
+
+def _cubic_with_roots(r1, r2, r3):
+    """(b, c, d) with X^3 + bX^2 + cX + d = (X - r1)(X - r2)(X - r3)."""
+    return -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
+
+
+def test_integer_roots_against_brute_force():
+    # every integer root lies in [-M, M], M = 1 + max(|b|, |c|, |d|)
+    for b, c, d in itertools.product(range(-12, 13), repeat=3):
+        m = 1 + max(abs(b), abs(c), abs(d))
+        expected = [x for x in range(-m, m + 1) if ((x + b) * x + c) * x + d == 0]
+        assert _integer_roots(b, c, d) == expected, (b, c, d)
+
+
+def test_integer_roots_of_chosen_cubics():
+    rng = random.Random(13)
+    for _ in range(2000):
+        r1, r2, r3 = (rng.randint(-10**6, 10**6) for _ in range(3))
+        assert _integer_roots(*_cubic_with_roots(r1, r2, r3)) == sorted({r1, r2, r3})
+        # (X - r1)(X^2 + pX + q) with p^2 - 4q not a square: one integer root
+        p, q = rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4)
+        if math.isqrt(max(p * p - 4 * q, 0)) ** 2 != p * p - 4 * q:
+            assert _integer_roots(p - r1, q - r1 * p, -r1 * q) == [r1], (r1, p, q)
+    # double roots sit on a critical point, a triple root on both
+    assert _integer_roots(*_cubic_with_roots(1, 1, -2)) == [-2, 1]
+    assert _integer_roots(*_cubic_with_roots(-720720, -720720, 3)) == [-720720, 3]
+    assert _integer_roots(*_cubic_with_roots(7, 7, 7)) == [7]
+    # 0 is the floor of the smaller critical point (6 - sqrt(21)) / 3 of X(X - 1)(X - 5),
+    # and 1 its ceiling: roots at the ends of two stretches
+    assert _integer_roots(*_cubic_with_roots(0, 1, 5)) == [0, 1, 5]
+    assert _integer_roots(*_cubic_with_roots(-720720, 360360, 1081080)) == [-720720, 360360, 1081080]
+    assert _integer_roots(0, 0, 2) == []
+    assert _integer_roots(0, 1, 0) == [0]
+
+
+def test_long_model_roots_without_factoring(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called while parsing a long model")
+
+    monkeypatch.setattr(twoselmer.curve, "factorize", refuse)
+    parsed = parse_curve("[0,-332251920,0,-3391406251833600,2783967477818562427392000]")
+    assert require_full_model(parsed).roots == (-85765680, 103062960, 314954640)
+    with pytest.raises(ValueError, match=r"dim E\(Q\)\[2\] = 1"):
+        require_full_model(parse_curve("[1,-128,0,-48,-4]"))
 
 
 def four_torsion_rational_at(model, q):

@@ -1,11 +1,11 @@
-"""Import hygiene of the package modules, checked with a small ``ast`` pass.
+"""Import hygiene of the package and its tests, checked with a small ``ast`` pass.
 
-Neither ruff nor pyflakes is a dependency.  Every name a module imports must
-appear as a ``Name`` somewhere in the module or be re-exported through
-``__all__``, rationals enter only through the input parsers, every
-top-level function or class, private or public, is used by the package
-itself or exported, and every top-level UPPER_CASE constant is read by
-package code.
+Neither ruff nor pyflakes is a dependency.  Every name a package or test
+module imports must appear as a ``Name`` somewhere in the module or be
+re-exported through ``__all__``, rationals enter only through the input
+parsers, every top-level function or class, private or public, is used by
+the package itself or exported, and every top-level UPPER_CASE constant is
+read by package code.
 """
 
 import ast
@@ -13,7 +13,8 @@ from pathlib import Path
 
 import twoselmer
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "twoselmer"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "twoselmer"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,7 +43,8 @@ def test_unused_import_check_detects_unused():
 
 
 def test_no_unused_imports():
-    found = {p.name: unused_imports(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    paths = [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))]
+    found = {f"{p.parent.name}/{p.name}": unused_imports(p.read_text()) for p in paths}
     assert {name: names for name, names in found.items() if names} == {}
 
 

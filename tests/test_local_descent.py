@@ -7,7 +7,7 @@ import pytest
 import twoselmer.local_descent
 import twoselmer.twist_lab
 from twoselmer import gf2
-from twoselmer.curve import FullTwoTorsionModel, sigma_set
+from twoselmer.curve import sigma_set
 from twoselmer.errors import SamplingBudgetExceeded
 from twoselmer.local_descent import (
     _sample_x,

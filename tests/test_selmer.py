@@ -5,7 +5,7 @@ import re
 import pytest
 
 import twoselmer.selmer
-from twoselmer.curve import FullTwoTorsionModel, sigma_set, twist
+from twoselmer.curve import sigma_set, twist
 from twoselmer.errors import SoundnessAlarm
 from twoselmer.padic import REAL_PLACE, _width, local_class
 from twoselmer.selmer import (

@@ -12,9 +12,13 @@ change first.  Each run is ``python3 bench/run.py --workload W --seed 1
 --seconds 25 --trace 0`` (the benchmark's own command) and its last stdout
 line is kept.  Then each side runs the workload once with ``--trace 1`` for
 the per-layer counts.  The file holds every run, and per workload and side
-the median and quartiles of each end-to-end metric, the failed ops, and on
-how many pairs the change had the higher twists_per_s.  ``src_lines`` gives
-each side's ``wc -l src/twoselmer/*.py`` total, the design metric.
+the median and quartiles of each end-to-end metric and the failed ops.
+Under ``gate`` it holds, for each end-to-end metric that ``BENCHMARK.json``
+declares, the change/parent median ratio, on how many pairs the change won in
+the metric's ``better`` direction, and whether the change's median is within
+the metric's ``bound`` of the parent's; each breach is also printed to stderr.
+``src_lines`` gives each side's ``wc -l src/twoselmer/*.py`` total, the design
+metric.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 WORKLOADS = ("scan", "rescan", "query")
 PAIRS = 10
 SEED = 1
@@ -93,6 +98,24 @@ def summarize(results: list[dict]) -> dict:
     return out
 
 
+def gate(workload: str, by_side: dict[str, list[dict]]) -> dict:
+    """The benchmark's per-metric check of the change against the parent."""
+    out: dict = {}
+    for metric in END_TO_END:
+        name, bound = metric["name"], metric["bound"]
+        sign = 1 if metric["better"] == "higher" else -1
+        values = {s: [r["metrics"][name]["value"] for r in runs] for s, runs in by_side.items()}
+        wins = sum(sign * (c - q) > 0 for q, c in zip(values["parent"], values["change"]))
+        ratio = statistics.median(values["change"]) / statistics.median(values["parent"])
+        within = sign * (ratio - 1) >= -bound
+        out[name] = {"better": metric["better"], "bound": bound, "ratio": ratio,
+                     "change_wins": f"{wins}/{PAIRS}", "within_bound": within}
+        if not within:
+            print(f"breach: {workload} {name} change/parent median {ratio:.3f}, "
+                  f"{metric['better']} is better, bound {bound}", file=sys.stderr)
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="git ref of the parent side")
@@ -126,11 +149,9 @@ def main(argv=None) -> int:
                     print(f"{w} pair {pair} {side}: {tps:.1f} twists/s, "
                           f"{result['failed']} failed", file=sys.stderr)
             by_side = {s: [r["result"] for r in runs if r["side"] == s] for s in roots}
-            wins = sum(c["metrics"]["twists_per_s"]["value"] > q["metrics"]["twists_per_s"]["value"]
-                       for q, c in zip(by_side["parent"], by_side["change"]))
             doc["summary"][w] = {
                 **{s: summarize(by_side[s]) for s in roots},
-                "twists_per_s_change_wins": f"{wins}/{PAIRS}",
+                "gate": gate(w, by_side),
             }
             doc["runs"][w] = runs
             doc[f"traced_{w}"] = {
