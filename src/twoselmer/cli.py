@@ -12,13 +12,13 @@ soundness alarm), 3 budget exhausted.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import random
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 
 from . import __version__, gf2, twist_lab
 from .curve import (
@@ -115,7 +115,7 @@ def cmd_scan(args) -> int:
     manifest = _dump({"curve": str(model), "bound": args.bound, "version": __version__}) + "\n"
 
     done_through = 0
-    records: list[twist_lab.TwistRecord] = []
+    kept: list[twist_lab.TwistRecord] = []
     resuming = args.resume and os.path.exists(records_path)
     if resuming:
         try:
@@ -130,30 +130,28 @@ def cmd_scan(args) -> int:
         with open(records_path) as fh:
             lines = fh.read().split("\n")
         # lines[-1] follows the last newline: empty, or a line torn by a crash mid-write
-        records = [_parse_record(ln) for ln in lines[:-1] if ln]
-        if records:
-            last_abs = abs(records[-1].d)
+        kept = [_parse_record(ln) for ln in lines[:-1] if ln]
+        if kept:
+            last_abs = abs(kept[-1].d)
             # recompute the in-flight block: drop records at the last |d|
-            records = [rec for rec in records if abs(rec.d) < last_abs]
+            kept = [rec for rec in kept if abs(rec.d) < last_abs]
             done_through = last_abs - 1
-        _replace_file(records_path, "".join(_record_line(rec) for rec in records))
+        _replace_file(records_path, "".join(_record_line(rec) for rec in kept))
     else:
         _replace_file(manifest_path, manifest)
 
     with open(records_path, "a" if resuming else "w") as fh:
-        for rec in scan_records(model, args.bound, timing=args.timing, after=done_through):
-            records.append(rec)
-            fh.write(_record_line(rec))
-            fh.flush()
-    summary = summarize(model, args.bound, records)
-    doc = {
-        **dataclasses.asdict(summary),
-        "curve": str(model),
-        "rank_histogram": {str(k): v for k, v in summary.rank_histogram.items()},
-    }
-    _replace_file(summary_path, _dump(doc) + "\n")
-    print(_dump(doc))
-    return EXIT_VERIFY if summary.parity_failures else EXIT_OK
+        def written():
+            # each line reaches the file before summarize counts its record
+            for rec in scan_records(model, args.bound, timing=args.timing, after=done_through):
+                fh.write(_record_line(rec))
+                fh.flush()
+                yield rec
+
+        summary = summarize(model, args.bound, chain(kept, written()))
+    _replace_file(summary_path, _dump(summary) + "\n")
+    print(_dump(summary))
+    return EXIT_VERIFY if summary["parity_failures"] else EXIT_OK
 
 
 def _random_squarefree(rng: random.Random, bound: int) -> int:

@@ -50,12 +50,8 @@ class Span:
         return len(self.rows)
 
 
-def reduce_rows(rows: list[int]) -> list[int]:
-    return Span(rows).rows
-
-
 def rank(rows: list[int]) -> int:
-    return len(reduce_rows(rows))
+    return Span(rows).dim
 
 
 def kernel_basis(rows: list[int], width: int) -> list[int]:

@@ -7,11 +7,11 @@ a theorem-predicted outcome that fails verification raises SoundnessAlarm.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache
 from itertools import count
 from math import isqrt, prod
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .curve import FullTwoTorsionModel, local_twist_classes, sigma_set
 from .errors import SearchBudgetExceeded, SoundnessAlarm
@@ -33,26 +33,6 @@ class TwistRecord:
     @property
     def parity_ok(self) -> bool:
         return self.parity_lhs == self.parity_rhs
-
-
-@dataclass
-class ScanSummary:
-    bound: int
-    n: int
-    records_count: int
-    rank_histogram: dict[int, int]
-    t_hat: int
-    r_max: int
-    gaps: list[int]
-    parity_failures: int
-    bound_checks: dict[str, bool] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.bound_checks = {
-            "t_hat_ge_2": self.t_hat >= 2,
-            "t_hat_le_n_plus_1": self.t_hat <= self.n + 1,
-            "t_hat_le_n": self.t_hat <= self.n,
-        }
 
 
 def twist_spec(model: FullTwoTorsionModel, d: int) -> SelmerSpec:
@@ -170,23 +150,29 @@ def scan_records(
         yield replace(rec, ms=int((time.monotonic() - t0) * 1000)) if timing else rec
 
 
-def summarize(model: FullTwoTorsionModel, bound: int, records: list[TwistRecord]) -> ScanSummary:
+def summarize(model: FullTwoTorsionModel, bound: int, records: Iterable[TwistRecord]) -> dict:
+    """The scan summary document, read in one pass over the records."""
     hist: dict[int, int] = {}
     failures = 0
     for rec in records:
         hist[rec.rank] = hist.get(rec.rank, 0) + 1
         if not rec.parity_ok:
             failures += 1
-    t_hat = min(hist)
-    r_max = max(hist)
-    gaps = [r for r in range(t_hat, r_max + 1) if r not in hist]
-    return ScanSummary(
-        bound=bound,
-        n=len(sigma_set(model)),
-        records_count=len(records),
-        rank_histogram=dict(sorted(hist.items())),
-        t_hat=t_hat,
-        r_max=r_max,
-        gaps=gaps,
-        parity_failures=failures,
-    )
+    n = len(sigma_set(model))
+    t_hat, r_max = min(hist), max(hist)
+    return {
+        "bound": bound,
+        "curve": str(model),
+        "n": n,
+        "records_count": sum(hist.values()),
+        "rank_histogram": {str(r): hist[r] for r in sorted(hist)},
+        "t_hat": t_hat,
+        "r_max": r_max,
+        "gaps": [r for r in range(t_hat, r_max + 1) if r not in hist],
+        "parity_failures": failures,
+        "bound_checks": {
+            "t_hat_ge_2": t_hat >= 2,
+            "t_hat_le_n_plus_1": t_hat <= n + 1,
+            "t_hat_le_n": t_hat <= n,
+        },
+    }

@@ -226,9 +226,9 @@ def run_pipeline():
                 dim = selmer_group(SelmerSpec(m, {v: bits})).dim
                 masked_ranks.append({"place": _name(v), "bits": bits, "dim": dim})
         c9[str(roots)] = {
-            "t_hat": summary.t_hat,
+            "t_hat": summary["t_hat"],
             "n": n,
-            "t_hat_in_range": 2 <= summary.t_hat <= n,
+            "t_hat_in_range": 2 <= summary["t_hat"] <= n,
             "masked_ranks": masked_ranks,
             "all_le_2n": all(r["dim"] <= 2 * n for r in masked_ranks),
         }
@@ -265,21 +265,21 @@ def run_pipeline():
     # --- criterion 11: A_E parity coverage for (-1,0,1) at B = 2000 --------
     recs = [r for r in scans[(-1, 0, 1)] if abs(r.d) <= 2000]
     summary = summarize(m101, 2000, recs)
-    hist = summary.rank_histogram
+    hist = {int(r): count for r, count in summary["rank_histogram"].items()}
     parities = sorted({r % 2 for r in hist})
     missing = [
         r
         for parity in parities
-        for r in range(summary.t_hat, summary.r_max + 1)
+        for r in range(summary["t_hat"], summary["r_max"] + 1)
         if r % 2 == parity and r not in hist
     ]
     out["c11"] = {
         "histogram": {str(k): v for k, v in hist.items()},
-        "t_hat": summary.t_hat,
-        "r_max": summary.r_max,
+        "t_hat": summary["t_hat"],
+        "r_max": summary["r_max"],
         "parities_observed": parities,
         "missing_by_parity": missing,
-        "gaps": summary.gaps,
+        "gaps": summary["gaps"],
     }
 
     return out, timings

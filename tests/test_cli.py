@@ -295,6 +295,56 @@ def test_scan_resume_keeps_records_on_write_error(tmp_path, capsys, monkeypatch)
     assert snapshot(out) == before
 
 
+def test_scan_summary_sorts_ranks_past_nine_as_text(tmp_path, capsys, monkeypatch):
+    # json.dumps(sort_keys=True) sorts int keys numerically but str keys as text
+    import twoselmer.twist_lab
+
+    ranks = {1: 2, -1: 3, 2: 10, -2: 10, 3: 11, -3: 2, 5: 2}
+
+    def fixed(model, d):
+        return twoselmer.twist_lab.TwistRecord(d, ranks.get(d, 3), 0, 0, 3, 0)
+
+    monkeypatch.setattr(twoselmer.twist_lab, "parity_check", fixed)
+    out = tmp_path / "h"
+    assert main(["scan", "--curve=-1,0,1", "--bound=5", f"--out={out}"]) == 0
+    capsys.readouterr()
+    summary = json.loads((out / "summary.json").read_text())
+    assert list(summary["rank_histogram"].items()) == [("10", 2), ("11", 1), ("2", 3), ("3", 2)]
+    assert summary["gaps"] == [4, 5, 6, 7, 8, 9]
+
+
+def test_scan_crash_keeps_flushed_lines(tmp_path, capsys, monkeypatch):
+    import twoselmer.twist_lab
+    from twoselmer.errors import FactorizationBudgetExceeded
+
+    full = tmp_path / "full"
+    assert main(["scan", "--curve=-1,0,1", "--bound=60", f"--out={full}"]) == 0
+    capsys.readouterr()
+
+    k = 10
+    calls = []
+    parity_check = twoselmer.twist_lab.parity_check
+
+    def crashing(model, d):
+        calls.append(d)
+        if len(calls) == k:
+            raise FactorizationBudgetExceeded("crash")
+        return parity_check(model, d)
+
+    monkeypatch.setattr(twoselmer.twist_lab, "parity_check", crashing)
+    out = tmp_path / "crash"
+    assert main(["scan", "--curve=-1,0,1", "--bound=60", f"--out={out}"]) == 3
+    capsys.readouterr()
+    assert len((out / "records.jsonl").read_text().splitlines()) == k - 1
+    assert not (out / "summary.json").exists()
+
+    monkeypatch.setattr(twoselmer.twist_lab, "parity_check", parity_check)
+    assert main(["scan", "--curve=-1,0,1", "--bound=60", f"--out={out}", "--resume"]) == 0
+    capsys.readouterr()
+    for name in ("records.jsonl", "summary.json"):
+        assert (out / name).read_bytes() == (full / name).read_bytes(), name
+
+
 def test_scan_bound_zero_usage_error(tmp_path, capsys):
     assert main(["scan", "--curve=-1,0,1", "--bound=0", f"--out={tmp_path/'z'}"]) == 1
     capsys.readouterr()

@@ -28,7 +28,7 @@ def test_span_incremental():
 def test_rank_and_reduce():
     rows = [0b111, 0b101, 0b010]
     assert gf2.rank(rows) == 2
-    reduced = gf2.reduce_rows(rows)
+    reduced = gf2.Span(rows).rows
     assert enumerate_span(reduced) == enumerate_span(rows)
 
 
@@ -73,7 +73,7 @@ def test_annihilator():
         for h in ann:
             for r in rows:
                 assert dot(h, r) == 0
-        assert len(gf2.reduce_rows(ann)) == width - gf2.rank(rows)
+        assert gf2.Span(ann).dim == width - gf2.rank(rows)
 
 
 def test_in_span():

@@ -87,7 +87,7 @@ def test_unramified_twist_stability(m101):
         unram = 0b10
         a = kummer_image(m101, 0, p)
         b = kummer_image(m101, unram, p)
-        assert sorted(gf2.reduce_rows(a)) == sorted(gf2.reduce_rows(b))
+        assert span_rows(a) == span_rows(b)
 
 
 def test_good_reduction_image_is_unramified(m101):
@@ -211,7 +211,7 @@ def test_image_cache_consistency(m101):
     clear_image_cache()
     c = kummer_image(m101, 0, p)
     assert c is not a
-    assert sorted(gf2.reduce_rows(c)) == sorted(gf2.reduce_rows(a))
+    assert span_rows(c) == span_rows(a)
 
 
 def span_rows(basis):
