@@ -18,7 +18,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, islice
 
 from . import __version__, gf2, twist_lab
 from .curve import (
@@ -31,7 +31,7 @@ from .errors import BudgetExceeded, SoundnessAlarm
 from .local_descent import _sampled_image, h_v, kummer_image
 from .padic import REAL_PLACE, _name, _width, local_class, local_pairing, parse_place
 from .selmer import SelmerSpec, duality_check, selmer_group
-from .twist_lab import scan_records, summarize, twist_spec
+from .twist_lab import scan_records, squarefree_twists, summarize, twist_spec
 from .zarith import is_prime, is_squarefree
 
 SCHEMA_VERSION = 1
@@ -114,7 +114,6 @@ def cmd_scan(args) -> int:
     manifest_path = os.path.join(out_dir, "scan.json")
     manifest = _dump({"curve": str(model), "bound": args.bound, "version": __version__}) + "\n"
 
-    done_through = 0
     kept: list[twist_lab.TwistRecord] = []
     resuming = args.resume and os.path.exists(records_path)
     if resuming:
@@ -131,19 +130,19 @@ def cmd_scan(args) -> int:
             lines = fh.read().split("\n")
         # lines[-1] follows the last newline: empty, or a line torn by a crash mid-write
         kept = [_parse_record(ln) for ln in lines[:-1] if ln]
-        if kept:
-            last_abs = abs(kept[-1].d)
-            # recompute the in-flight block: drop records at the last |d|
-            kept = [rec for rec in kept if abs(rec.d) < last_abs]
-            done_through = last_abs - 1
+        if [rec.d for rec in kept] != list(islice(squarefree_twists(args.bound), len(kept))):
+            raise ValueError(
+                f"cannot resume: {records_path} is not the scan's first {len(kept)} twists"
+            )
         _replace_file(records_path, "".join(_record_line(rec) for rec in kept))
     else:
         _replace_file(manifest_path, manifest)
 
+    after = kept[-1].d if kept else 0
     with open(records_path, "a" if resuming else "w") as fh:
         def written():
             # each line reaches the file before summarize counts its record
-            for rec in scan_records(model, args.bound, timing=args.timing, after=done_through):
+            for rec in scan_records(model, args.bound, timing=args.timing, after=after):
                 fh.write(_record_line(rec))
                 fh.flush()
                 yield rec

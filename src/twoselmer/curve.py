@@ -72,7 +72,7 @@ def twist(model: FullTwoTorsionModel, d: int) -> FullTwoTorsionModel:
     """Quadratic twist by a squarefree integer d: roots scale by d."""
     if d == 0 or not is_squarefree(d):
         raise ValueError(f"twist parameter must be a nonzero squarefree integer, got {d}")
-    return FullTwoTorsionModel(tuple(sorted(d * e for e in model.roots)))
+    return FullTwoTorsionModel(tuple(d * e for e in model.roots))
 
 
 def _integer_roots(b: int, c: int, d: int) -> list[int]:
@@ -105,37 +105,6 @@ def _integer_roots(b: int, c: int, d: int) -> list[int]:
     return sorted(roots)
 
 
-@cache
-def _rational_roots(m: LongModel) -> tuple[Fraction, ...]:
-    """The rational roots of the 2-division cubic, ascending: with X = den x
-    the cubic is a monic integer cubic, whose rational roots are integers.
-    Computed once per model, so a rejected model is searched once."""
-    if m.discriminant == 0:
-        raise ValueError("singular model")
-    c2, c1, c0 = m.two_division_cubic()
-    den = lcm(c2.denominator, c1.denominator, c0.denominator)
-    roots = _integer_roots(int(c2 * den), int(c1 * den**2), int(c0 * den**3))
-    return tuple(Fraction(x, den) for x in roots)
-
-
-def torsion_two_structure(m: LongModel) -> int:
-    """dim_F2 E(Q)[2]: the number of rational roots of the 2-division cubic
-    mapped 3 -> 2, 1 -> 1, 0 -> 0."""
-    return min(len(_rational_roots(m)), 2)
-
-
-def full_model_from_long(m: LongModel) -> FullTwoTorsionModel | None:
-    """Clear a long model with split 2-division cubic to an integral model;
-    None when the cubic does not have three rational roots."""
-    roots = _rational_roots(m)
-    if len(roots) != 3:
-        return None
-    den = lcm(*(r.denominator for r in roots))
-    # x -> u^2 x with u^2 = den^2 keeps the curve isomorphic and roots integral
-    u2 = den * den
-    return FullTwoTorsionModel(tuple(int(r * u2) for r in roots))
-
-
 def parse_curve(text: str) -> FullTwoTorsionModel | LongModel:
     """Parse 'e1,e2,e3' (full 2-torsion) or '[a1,a2,a3,a4,a6]' (long model)."""
     text = text.strip()
@@ -152,18 +121,29 @@ def parse_curve(text: str) -> FullTwoTorsionModel | LongModel:
     parts = [int(t.strip()) for t in text.split(",")]
     if len(parts) != 3:
         raise ValueError("full 2-torsion curve needs exactly e1,e2,e3")
-    return FullTwoTorsionModel(tuple(sorted(parts)))
+    return FullTwoTorsionModel(tuple(parts))
 
 
 def require_full_model(parsed: FullTwoTorsionModel | LongModel) -> FullTwoTorsionModel:
-    """Coerce parsed input to a full 2-torsion model or fail with the torsion dim."""
+    """Coerce parsed input to a full 2-torsion model or fail with the torsion dim.
+
+    A long model's 2-division cubic is searched for rational roots once: with
+    X = den x it is a monic integer cubic, whose rational roots are integers.
+    x -> u^2 x, u the lcm of the roots' denominators, makes the roots integral.
+    """
     if isinstance(parsed, FullTwoTorsionModel):
         return parsed
-    full = full_model_from_long(parsed)
-    if full is None:
-        dim = torsion_two_structure(parsed)
-        raise ValueError(f"not full 2-torsion (dim E(Q)[2] = {dim})")
-    return full
+    if parsed.discriminant == 0:
+        raise ValueError("singular model")
+    c2, c1, c0 = parsed.two_division_cubic()
+    den = lcm(c2.denominator, c1.denominator, c0.denominator)
+    integer_roots = _integer_roots(int(c2 * den), int(c1 * den**2), int(c0 * den**3))
+    roots = [Fraction(x, den) for x in integer_roots]
+    # a nonsingular rational cubic with two rational roots has a third
+    if len(roots) != 3:
+        raise ValueError(f"not full 2-torsion (dim E(Q)[2] = {len(roots)})")
+    u = lcm(*(r.denominator for r in roots))
+    return FullTwoTorsionModel(tuple(int(r * u * u) for r in roots))
 
 
 def local_twist_classes(model: FullTwoTorsionModel, d: int) -> dict[int, int]:

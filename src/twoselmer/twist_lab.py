@@ -127,13 +127,16 @@ def find_plus_one(model: FullTwoTorsionModel, budget: int = DEFAULT_PRIME_BUDGET
 
 
 def squarefree_twists(bound: int, after: int = 0) -> Iterator[int]:
-    """d with after < |d| <= bound by increasing |d|, positive before negative."""
+    """The scan order: squarefree d, 0 < |d| <= bound, by increasing |d| and d before
+    -d.  A nonzero after is the last d already done; only the twists past it follow."""
     # a sieve of square divisors: clear every multiple of k^2, 2 <= k <= sqrt(bound)
     squarefree = bytearray([1]) * (bound + 1)
     for k in range(2, isqrt(max(bound, 0)) + 1):
         for a in range(k * k, bound + 1, k * k):
             squarefree[a] = 0
-    for a in range(after + 1, bound + 1):
+    if after > 0:
+        yield -after
+    for a in range(abs(after) + 1, bound + 1):
         if squarefree[a]:
             yield a
             yield -a
@@ -142,8 +145,8 @@ def squarefree_twists(bound: int, after: int = 0) -> Iterator[int]:
 def scan_records(
     model: FullTwoTorsionModel, bound: int, timing: bool = False, after: int = 0
 ) -> Iterator[TwistRecord]:
-    """One record per squarefree d with after < |d| <= bound; a resumed scan
-    passes the last |d| it has finished."""
+    """One record per twist of squarefree_twists(bound, after); a resumed
+    scan passes the last d it has finished."""
     for d in squarefree_twists(bound, after):
         t0 = time.monotonic()
         rec = parity_check(model, d)

@@ -185,10 +185,10 @@ def test_scan_resume_computes_only_the_appended_twists(tmp_path, capsys, monkeyp
     capsys.readouterr()
     records = (out / "records.jsonl").read_bytes()
     torn = records[:-20]
-    # the resume recomputes every twist from the last complete line's |d| on
-    last_abs = abs(json.loads(torn.decode().split("\n")[-2])["d"])
+    # the resume computes every twist after the last complete line
+    complete = torn.count(b"\n")
     ds = [json.loads(ln)["d"] for ln in records.decode().splitlines()]
-    appended = [d for d in ds if abs(d) >= last_abs]
+    appended = ds[complete:]
     (out / "records.jsonl").write_bytes(torn)
 
     calls = []
@@ -268,6 +268,23 @@ def test_scan_resume_rejects_other_arguments(tmp_path, capsys, first, second):
     assert snapshot(out) == before
 
 
+@pytest.mark.parametrize("case", ["duplicated", "missing"])
+def test_scan_resume_rejects_records_not_the_scans_first_twists(tmp_path, capsys, case):
+    # unchecked, the resume exits 0 with records_count 40 or 36 instead of 38
+    out = tmp_path / "s"
+    assert main(["scan", "--curve=0,1,5", "--bound=30", f"--out={out}"]) == 0
+    capsys.readouterr()
+    lines = (out / "records.jsonl").read_text().splitlines(keepends=True)
+    # lines 4 and 5 are the block d = 3, -3
+    kept = lines[:6] + lines[4:] if case == "duplicated" else lines[:4] + lines[6:]
+    (out / "records.jsonl").write_text("".join(kept))
+    before = snapshot(out)
+    assert main(["scan", "--curve=0,1,5", "--bound=30", f"--out={out}", "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot resume: ") and "is not the scan's first" in err
+    assert snapshot(out) == before
+
+
 def test_scan_resume_requires_manifest(tmp_path, capsys):
     out = tmp_path / "n"
     assert main(["scan", "--curve=-1,0,1", "--bound=20", f"--out={out}"]) == 0
@@ -343,6 +360,30 @@ def test_scan_crash_keeps_flushed_lines(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     for name in ("records.jsonl", "summary.json"):
         assert (out / name).read_bytes() == (full / name).read_bytes(), name
+
+
+def test_scan_timing_writes_each_twists_ms(tmp_path, capsys, monkeypatch):
+    import twoselmer.twist_lab
+
+    class Clock:
+        """Steps 1/128 s per call, so each twist reads int(1000 / 128) = 7 ms."""
+
+        t = 0.0
+
+        def monotonic(self):
+            self.t += 1 / 128
+            return self.t
+
+    plain, timed = tmp_path / "plain", tmp_path / "timed"
+    assert main(["scan", "--curve=0,1,5", "--bound=30", f"--out={plain}"]) == 0
+    monkeypatch.setattr(twoselmer.twist_lab, "time", Clock())
+    assert main(["scan", "--curve=0,1,5", "--bound=30", f"--out={timed}", "--timing"]) == 0
+    capsys.readouterr()
+    untimed = [json.loads(ln) for ln in (plain / "records.jsonl").read_text().splitlines()]
+    records = [json.loads(ln) for ln in (timed / "records.jsonl").read_text().splitlines()]
+    assert [r["ms"] for r in records] == [7] * len(untimed)
+    assert [{**r, "ms": 0} for r in records] == untimed
+    assert (timed / "summary.json").read_bytes() == (plain / "summary.json").read_bytes()
 
 
 def test_scan_bound_zero_usage_error(tmp_path, capsys):

@@ -10,12 +10,10 @@ from twoselmer.curve import (
     FullTwoTorsionModel,
     LongModel,
     _integer_roots,
-    full_model_from_long,
     local_twist_classes,
     parse_curve,
     require_full_model,
     sigma_set,
-    torsion_two_structure,
     twist,
 )
 from twoselmer.padic import REAL_PLACE, _name, local_class
@@ -72,19 +70,23 @@ def test_sigma_of_twist_superset():
 
 def test_torsion_two_structure_examples():
     klagsbrun = LongModel(1, -128, 0, -48, -4)
-    assert torsion_two_structure(klagsbrun) == 1
-    assert torsion_two_structure(LongModel(0, 0, 0, -1, 0)) == 2  # y^2 = x(x-1)(x+1)
-    assert torsion_two_structure(LongModel(0, 0, 0, 0, 2)) == 0  # y^2 = x^3 + 2
+    with pytest.raises(ValueError, match=r"dim E\(Q\)\[2\] = 1"):
+        require_full_model(klagsbrun)
+    # y^2 = x(x-1)(x+1)
+    assert require_full_model(LongModel(0, 0, 0, -1, 0)).roots == (-1, 0, 1)
+    with pytest.raises(ValueError, match=r"dim E\(Q\)\[2\] = 0"):
+        require_full_model(LongModel(0, 0, 0, 0, 2))  # y^2 = x^3 + 2
+    with pytest.raises(ValueError, match="^singular model$"):
+        require_full_model(LongModel(0, 0, 0, 0, 0))
 
 
 def test_full_model_from_long():
-    assert full_model_from_long(LongModel(1, -128, 0, -48, -4)) is None
-    m = full_model_from_long(LongModel(0, 0, 0, -1, 0))
-    assert m is not None and m.roots == (-1, 0, 1)
+    with pytest.raises(ValueError, match=r"dim E\(Q\)\[2\] = 1"):
+        require_full_model(LongModel(1, -128, 0, -48, -4))
+    assert require_full_model(LongModel(0, 0, 0, -1, 0)).roots == (-1, 0, 1)
     # rational roots needing denominator clearing: y^2 = (x-1/2)(x)(x+1/2)
     # (x, y) -> (4x, 8y) clears the halves, scaling the roots by 4
-    m2 = full_model_from_long(LongModel(0, 0, 0, Fraction(-1, 4), 0))
-    assert m2 is not None and m2.roots == (-2, 0, 2)
+    assert require_full_model(LongModel(0, 0, 0, Fraction(-1, 4), 0)).roots == (-2, 0, 2)
 
 
 def test_full_models_have_torsion_two():
@@ -93,7 +95,7 @@ def test_full_models_have_torsion_two():
         s = e1 + e2 + e3
         p = e1 * e2 + e1 * e3 + e2 * e3
         q = e1 * e2 * e3
-        assert torsion_two_structure(LongModel(0, -s, 0, p, -q)) == 2
+        assert require_full_model(LongModel(0, -s, 0, p, -q)).roots == (e1, e2, e3)
 
 
 def test_long_model_discriminant():
@@ -145,11 +147,20 @@ def test_long_model_roots_without_factoring(monkeypatch):
     def refuse(n):
         raise AssertionError(f"factorize({n}) called while parsing a long model")
 
+    searches = []
+
+    def counting(*cubic):
+        searches.append(cubic)
+        return _integer_roots(*cubic)
+
     monkeypatch.setattr(twoselmer.curve, "factorize", refuse)
+    monkeypatch.setattr(twoselmer.curve, "_integer_roots", counting)
     parsed = parse_curve("[0,-332251920,0,-3391406251833600,2783967477818562427392000]")
     assert require_full_model(parsed).roots == (-85765680, 103062960, 314954640)
     with pytest.raises(ValueError, match=r"dim E\(Q\)\[2\] = 1"):
         require_full_model(parse_curve("[1,-128,0,-48,-4]"))
+    # one root search per long model, the rejected one included
+    assert len(searches) == 2
 
 
 def four_torsion_rational_at(model, q):

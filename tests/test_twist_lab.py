@@ -168,6 +168,11 @@ def test_squarefree_twists_order():
     for bound in (0, 1, 2, 3, 4, 9, 10, 1000):
         expected = [s * a for a in range(1, bound + 1) if is_squarefree(a) for s in (1, -1)]
         assert list(squarefree_twists(bound)) == expected
+    # after is the last d done: the rest of the order follows it
+    for bound in (1, 2, 10, 100):
+        seq = list(squarefree_twists(bound))
+        for n in range(1, len(seq) + 1):
+            assert list(squarefree_twists(bound, after=seq[n - 1])) == seq[n:], (bound, n)
 
 
 def test_scan_small(m101):

@@ -19,6 +19,12 @@ the metric's ``better`` direction, and whether the change's median is within
 the metric's ``bound`` of the parent's; each breach is also printed to stderr.
 ``src_lines`` gives each side's ``wc -l src/twoselmer/*.py`` total, the design
 metric.
+
+Before the first pair, ``python3 -m compileall -q src`` runs in both trees, so
+that both import from bytecode and ``setup_s`` compares like with like: a fresh
+export has no ``__pycache__``, and with ``PYTHONDONTWRITEBYTECODE=1`` set the
+parent would otherwise compile every module on each import.  ``compileall``
+writes the bytecode even when that variable is set.
 """
 
 from __future__ import annotations
@@ -126,6 +132,8 @@ def main(argv=None) -> int:
         parent_root = Path(tmp)
         sha = export(args.parent, parent_root)
         roots = {"parent": parent_root, "change": ROOT}
+        for root in roots.values():
+            subprocess.run(["python3", "-m", "compileall", "-q", "src"], cwd=root, check=True)
         doc = {
             "command": f"python3 bench/run.py --workload W --seed {SEED} "
                        f"--seconds {SECONDS} --trace 0",
