@@ -1,6 +1,6 @@
 """2-Selmer ranks of quadratic twists of elliptic curves with full rational 2-torsion."""
 
-from .curve import FullTwoTorsionModel, LongModel, sigma_set, twist
+from .curve import FullTwoTorsionModel, LongModel, sigma_set
 from .padic import REAL_PLACE
 from .selmer import SelmerSpec, SelmerResult, selmer_group
 from .twist_lab import parity_check, rank_of_twist
@@ -15,7 +15,6 @@ __all__ = [
     "rank_of_twist",
     "selmer_group",
     "sigma_set",
-    "twist",
 ]
 
 __version__ = "0.1.0"

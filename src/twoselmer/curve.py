@@ -1,4 +1,10 @@
-"""Elliptic curve models with full rational 2-torsion, Sigma sets and twists."""
+"""Curve models, Sigma and the local classes of a twist.
+
+A curve with full rational 2-torsion is the sorted triple of its integer
+roots; a long Weierstrass model enters through ``require_full_model``.
+Sigma is read from the three root differences.  A twist E^d is no model of
+its own: ``local_twist_classes`` gives its classes on the base model.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ from functools import cache
 from math import isqrt, lcm
 
 from .padic import REAL_PLACE, local_class
-from .zarith import factorize, is_squarefree
+from .zarith import factorize
 
 
 @dataclass(frozen=True)
@@ -21,11 +27,6 @@ class FullTwoTorsionModel:
         if len(set(self.roots)) != 3:
             raise ValueError("roots must be pairwise distinct")
         object.__setattr__(self, "roots", tuple(sorted(self.roots)))
-
-    @property
-    def discriminant(self) -> int:
-        e1, e2, e3 = self.roots
-        return 16 * ((e1 - e2) * (e1 - e3) * (e2 - e3)) ** 2
 
     def __str__(self) -> str:
         return ",".join(str(e) for e in self.roots)
@@ -62,17 +63,12 @@ class LongModel:
 
 @cache
 def sigma_set(model: FullTwoTorsionModel) -> tuple[int, ...]:
-    """The places of Sigma in order: inf, 2, then the odd primes dividing the
-    discriminant ascending.  Computed once per model."""
-    bad = {p for p, _ in factorize(model.discriminant).factors if p != 2}
+    """The places of Sigma in order: inf, 2, then the odd primes of the three
+    root differences ascending, the primes of the discriminant without
+    factoring it.  Computed once per model."""
+    e1, e2, e3 = model.roots
+    bad = {p for n in (e2 - e1, e3 - e1, e3 - e2) for p, _ in factorize(n).factors if p != 2}
     return (REAL_PLACE, 2, *sorted(bad))
-
-
-def twist(model: FullTwoTorsionModel, d: int) -> FullTwoTorsionModel:
-    """Quadratic twist by a squarefree integer d: roots scale by d."""
-    if d == 0 or not is_squarefree(d):
-        raise ValueError(f"twist parameter must be a nonzero squarefree integer, got {d}")
-    return FullTwoTorsionModel(tuple(d * e for e in model.roots))
 
 
 def _integer_roots(b: int, c: int, d: int) -> list[int]:

@@ -5,17 +5,5 @@ class BudgetExceeded(RuntimeError):
     """A configurable work budget ran out before the computation finished."""
 
 
-class FactorizationBudgetExceeded(BudgetExceeded):
-    pass
-
-
-class SamplingBudgetExceeded(BudgetExceeded):
-    pass
-
-
-class SearchBudgetExceeded(BudgetExceeded):
-    pass
-
-
 class SoundnessAlarm(RuntimeError):
     """A predicted outcome failed re-verification; indicates a bug."""

@@ -20,18 +20,17 @@ from typing import Iterator
 
 from . import gf2
 from .curve import FullTwoTorsionModel, sigma_set
-from .errors import SamplingBudgetExceeded
-from .padic import _name, _width, local_class, nonresidue, representative
+from .errors import BudgetExceeded
+from .padic import _cocycle, _name, _width, local_class, nonresidue, representative
+from .zarith import valuation
 
 DEFAULT_SAMPLING_BUDGET = 10**5
 
 
 def _torsion_cocycles(roots: tuple[int, int, int], place: int) -> tuple[int, int]:
     r1, r2, r3 = roots
-    k = _width(place)
-    t1 = local_class((r1 - r2) * (r1 - r3), place) | local_class(r1 - r2, place) << k
-    t2 = local_class(r2 - r1, place) | local_class((r2 - r1) * (r2 - r3), place) << k
-    return t1, t2
+    return (_cocycle((r1 - r2) * (r1 - r3), r1 - r2, place),
+            _cocycle(r2 - r1, (r2 - r1) * (r2 - r3), place))
 
 
 def _sample_x(p: int, roots: tuple[int, int, int]) -> Iterator[tuple[int, int]]:
@@ -40,14 +39,17 @@ def _sample_x(p: int, roots: tuple[int, int, int]) -> Iterator[tuple[int, int]]:
     Each sample x = a/q is the integer pair (a, q) with q > 0: the class of
     a/b is the class of ab, so the caller never builds a rational.
     """
-    # near-root ladder: x = r + t * p^m with t hitting both residue signs
+    # near-root ladder: x = r + t * p^m with t hitting both residue signs,
+    # climbing past the deepest root difference
+    r1, r2, r3 = roots
+    deep = max(valuation(r2 - r1, p), valuation(r3 - r1, p), valuation(r3 - r2, p))
     if p == 2:
         ts = [1, 3, 5, 7]
-        depth = 9
+        depth = max(9, deep + 4)
     else:
         u = nonresidue(p)
         ts = list(range(1, 10)) + [u * s for s in range(1, 10)]
-        depth = 7
+        depth = max(7, deep + 3)
     for m in range(1, depth):
         pm = p**m
         for r in roots:
@@ -112,14 +114,14 @@ def _sampled_image(model: FullTwoTorsionModel, d_class: int, place: int) -> tupl
         w1, w2, w3 = a - e1 * q, a - e2 * q, a - e3 * q
         if not (w1 and w2 and w3) or local_class(w1 * w2 * w3 * q, place):
             continue
-        c = local_class(w1 * q, place) | local_class(w2 * q, place) << target
+        c = _cocycle(w1 * q, w2 * q, place)
         if span.add(c):
             basis.append(c)
             if span.dim == target:
                 break
     if span.dim < target:
-        raise SamplingBudgetExceeded(f"kummer image at {_name(place)} for class {d_class} "
-                                     f"stuck at dim {span.dim} < {target}")
+        raise BudgetExceeded(f"kummer image at {_name(place)} for class {d_class} "
+                             f"stuck at dim {span.dim} < {target}")
     return tuple(basis)
 
 

@@ -13,9 +13,10 @@ A square class in Q_v^x / (Q_v^x)^2 is a plain int of ``_width(v)`` bits,
   on the generators -1 and 5.
 
 A local cocycle in H^1(Q_v, E[2]) (split E[2]) is a pair of classes packed
-as ``first | second << _width(v)``.  Classes of global rationals are
-computed from valuations and residues of integers, since the class of a/b
-is the class of ab; no p-adic precision is ever involved.
+as ``first | second << _width(v)``, by ``_cocycle`` alone.  Classes of
+global rationals are computed from valuations and residues of integers,
+since the class of a/b is the class of ab; no p-adic precision is ever
+involved.
 """
 
 from __future__ import annotations
@@ -71,6 +72,11 @@ def local_class(r: Rational, place: int) -> int:
     if place == 2:
         return (v & 1) | _MOD8_BITS[u % 8]
     return (v & 1) | (0 if legendre(u, place) == 1 else 2)
+
+
+def _cocycle(a: int, b: int, place: int) -> int:
+    """The local cocycle of the pair of nonzero integers (a, b) at a place."""
+    return local_class(a, place) | local_class(b, place) << _width(place)
 
 
 def representative(place: int, c: int) -> int:

@@ -19,9 +19,9 @@ from itertools import islice
 
 from . import gf2
 from .curve import FullTwoTorsionModel, sigma_set
-from .errors import SearchBudgetExceeded, SoundnessAlarm
+from .errors import BudgetExceeded, SoundnessAlarm
 from .local_descent import kummer_image
-from .padic import _name, _width, local_class, local_pairing
+from .padic import _cocycle, _name, _width, local_class, local_pairing
 from .zarith import legendre, odd_primes
 
 DEFAULT_PRIME_BUDGET = 10**6
@@ -122,16 +122,10 @@ def _verify_pointwise(result: SelmerResult, conditions) -> None:
     spans = [(v, gf2.Span(condition)) for v, condition in conditions]
     for a, b in result.basis_values():
         for v, span in spans:
-            if not span.contains(restriction((a, b), v)):
+            if not span.contains(_cocycle(a, b, v)):
                 raise SoundnessAlarm(
                     f"basis element ({a},{b}) violates the condition at {_name(v)}"
                 )
-
-
-def restriction(pair: tuple[int, int], place: int) -> int:
-    """The local cocycle of a global value pair at a place."""
-    a, b = pair
-    return local_class(a, place) | local_class(b, place) << _width(place)
 
 
 def duality_check(spec: SelmerSpec, T: frozenset[int]) -> tuple[bool, dict]:
@@ -154,7 +148,7 @@ def duality_check(spec: SelmerSpec, T: frozenset[int]) -> tuple[bool, dict]:
         for y in plain:
             s = 0
             for v in T:
-                s ^= local_pairing(v, restriction(x, v), restriction(y, v))
+                s ^= local_pairing(v, _cocycle(*x, v), _cocycle(*y, v))
             if s:
                 report["orthogonal"] = False
                 report["counterexample"] = {"x": list(x), "y": list(y)}
@@ -175,7 +169,7 @@ def _find_frobenius_prime(generators: tuple[int, ...], target_index: int) -> int
             for i, g in enumerate(generators)
         ):
             return w
-    raise SearchBudgetExceeded("no Frobenius prime found within budget")
+    raise BudgetExceeded("no Frobenius prime found within budget")
 
 
 def collapse_masks(spec: SelmerSpec) -> list[tuple[int, int]]:

@@ -14,7 +14,7 @@ from math import isqrt, prod
 from typing import Iterable, Iterator
 
 from .curve import FullTwoTorsionModel, local_twist_classes, sigma_set
-from .errors import SearchBudgetExceeded, SoundnessAlarm
+from .errors import BudgetExceeded, SoundnessAlarm
 from .local_descent import h_v
 from .padic import REAL_PLACE, local_class
 from .selmer import DEFAULT_PRIME_BUDGET, SelmerSpec, selmer_group
@@ -81,7 +81,7 @@ def character_candidates(
     outside = (q for q in odd_primes() if q not in sigma)
     for tried, q in enumerate(outside, 1):
         if tried > budget:
-            raise SearchBudgetExceeded("character prime search budget exceeded")
+            raise BudgetExceeded("character prime search budget exceeded")
         if all(local_class(s * q, v) == at_sigma.get(v, 0) for v in sigma):
             yield s * q
 
@@ -114,7 +114,7 @@ def find_plus_one(model: FullTwoTorsionModel, budget: int = DEFAULT_PRIME_BUDGET
         raise SoundnessAlarm(
             f"sign-masked rank {masked} != r - 1 = {r_before - 1}"
         )
-    # endless: character_candidates raises SearchBudgetExceeded past its budget
+    # endless: character_candidates raises BudgetExceeded past its budget
     for d in character_candidates(model, sign_mask, budget):
         r_after = rank_of_twist(model, d)
         if r_after == r_before + 1:

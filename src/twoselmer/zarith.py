@@ -14,7 +14,7 @@ from itertools import count
 from math import gcd
 from typing import Iterator
 
-from .errors import FactorizationBudgetExceeded
+from .errors import BudgetExceeded
 
 # The primes up to 41: trial divisors of is_prime and factorize, and the
 # Miller–Rabin witness set, deterministic below _MR_BOUND (the smallest
@@ -28,7 +28,7 @@ DEFAULT_RHO_BUDGET = 10**7
 def is_prime(n: int) -> bool:
     """Exact primality.  A witness proves n composite at any size; from
     _MR_BOUND on, passing every base does not prove n prime, and that
-    verdict raises FactorizationBudgetExceeded."""
+    verdict raises BudgetExceeded."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -50,7 +50,7 @@ def is_prime(n: int) -> bool:
         else:
             return False
     if n >= _MR_BOUND:
-        raise FactorizationBudgetExceeded(f"{n} is past the deterministic Miller-Rabin bound")
+        raise BudgetExceeded(f"{n} is past the deterministic Miller-Rabin bound")
     return True
 
 
@@ -77,7 +77,7 @@ def _pollard_rho(n: int, budget: list[int]) -> int:
         while d == 1:
             budget[0] -= 1
             if budget[0] <= 0:
-                raise FactorizationBudgetExceeded(f"pollard rho budget exhausted on {n}")
+                raise BudgetExceeded(f"pollard rho budget exhausted on {n}")
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
@@ -88,7 +88,7 @@ def _pollard_rho(n: int, budget: list[int]) -> int:
 
 
 def factorize(n: int) -> FactoredInteger:
-    """Factor a nonzero integer; raises FactorizationBudgetExceeded on huge inputs."""
+    """Factor a nonzero integer; raises BudgetExceeded on huge inputs."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = -1 if n < 0 else 1

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from twoselmer.cli import main
-from twoselmer.curve import FullTwoTorsionModel, sigma_set, twist
+from twoselmer.curve import FullTwoTorsionModel, sigma_set
 from twoselmer.local_descent import (
     _image_cache,
     clear_image_cache,
@@ -194,7 +194,7 @@ def run_pipeline():
     t0 = time.monotonic()
     code7, w1 = cli("search", "inc2", "--curve=-1,0,1")
     m101 = FullTwoTorsionModel((-1, 0, 1))
-    w2 = find_inc2(twist(m101, w1["q"]))
+    w2 = find_inc2(FullTwoTorsionModel(tuple(w1["q"] * e for e in m101.roots)))
     timings["c7_s"] = time.monotonic() - t0
     out["c7"] = {
         "cli_exit": code7,
@@ -239,14 +239,14 @@ def run_pipeline():
     for rec in scans[(-1, 0, 1)]:
         if rec.d <= 0:
             continue
-        tm = twist(m101, rec.d)
+        tm = FullTwoTorsionModel(tuple(rec.d * e for e in m101.roots))
         n_prime = len(sigma_set(tm))
         k = rec.rank - n_prime
         if k >= 2:
             witness = (rec.d, rec.rank, n_prime, k)
             break
     d10, rank10, n10, k10 = witness
-    tm = twist(m101, d10)
+    tm = FullTwoTorsionModel(tuple(d10 * e for e in m101.roots))
     spec = SelmerSpec(tm)
     masks = collapse_masks(spec)
     collapsed = selmer_group(

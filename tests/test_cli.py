@@ -43,6 +43,23 @@ def test_descent_twist(capsys):
     assert last_json(out)["dim"] == 4
 
 
+def test_descent_on_curves_past_the_corpus(capsys):
+    # (-5^24, 0, 5^48 + 1): Sigma comes from the root differences, since rho
+    # cannot split the discriminant within its budget
+    curve = f"{-5**24},0,{5**48 + 1}"
+    assert curve == "-59604644775390625,0,3552713678800500929355621337890626"
+    code, _ = run(capsys, "descent", f"--curve={curve}", "--twist=1")
+    assert code == 0
+    # (0, 1, -3) with its roots scaled by 3^12 is the same curve: the sampler
+    # climbs past the depth of the root differences at 3
+    code, out = run(capsys, "descent", "--curve=0,531441,-1594323", "--twist=1")
+    assert code == 0
+    scaled = last_json(out)
+    _, out = run(capsys, "descent", "--curve=0,1,-3", "--twist=1")
+    base = last_json(out)
+    assert (scaled["dim"], scaled["basis"]) == (base["dim"], base["basis"]) == (2, [[2, -1], [6, 3]])
+
+
 def test_descent_twist_factors_d_once(capsys, monkeypatch):
     d = 1000000000039
     seen = []
@@ -332,7 +349,7 @@ def test_scan_summary_sorts_ranks_past_nine_as_text(tmp_path, capsys, monkeypatc
 
 def test_scan_crash_keeps_flushed_lines(tmp_path, capsys, monkeypatch):
     import twoselmer.twist_lab
-    from twoselmer.errors import FactorizationBudgetExceeded
+    from twoselmer.errors import BudgetExceeded
 
     full = tmp_path / "full"
     assert main(["scan", "--curve=-1,0,1", "--bound=60", f"--out={full}"]) == 0
@@ -345,7 +362,7 @@ def test_scan_crash_keeps_flushed_lines(tmp_path, capsys, monkeypatch):
     def crashing(model, d):
         calls.append(d)
         if len(calls) == k:
-            raise FactorizationBudgetExceeded("crash")
+            raise BudgetExceeded("crash")
         return parity_check(model, d)
 
     monkeypatch.setattr(twoselmer.twist_lab, "parity_check", crashing)

@@ -14,16 +14,21 @@ from twoselmer.curve import (
     parse_curve,
     require_full_model,
     sigma_set,
-    twist,
 )
 from twoselmer.padic import REAL_PLACE, _name, local_class
 from twoselmer.selmer import SelmerSpec, selmer_group
-from twoselmer.zarith import is_prime, legendre
+from twoselmer.zarith import factorize, is_prime, legendre
+
+
+def full_discriminant(model):
+    """16 times the discriminant of (x - e1)(x - e2)(x - e3)."""
+    e1, e2, e3 = model.roots
+    return 16 * ((e1 - e2) * (e1 - e3) * (e2 - e3)) ** 2
 
 
 def test_model_invariants():
     m = FullTwoTorsionModel((-1, 0, 1))
-    assert m.discriminant == 64
+    assert full_discriminant(m) == 64
     e1, e2, e3 = m.roots
     assert (2 - e1) * (2 - e2) * (2 - e3) == 6
     with pytest.raises(ValueError):
@@ -41,28 +46,40 @@ def test_sigma_set_examples():
     s = sigma_set(FullTwoTorsionModel((-5, 0, 5)))
     assert [_name(v) for v in s] == ["inf", "2", "5"]
     assert len(s) == 3
-    # the discriminant's part free of the primes up to 41 is
-    # (1000003 * 666733 * 250049)^2, past the deterministic Miller-Rabin bound
+    # the root differences 1000003, 2000199 = 3 * 666733 and 1000196 = 2^2 * 250049
     s = sigma_set(FullTwoTorsionModel((0, 1000003, 2000199)))
     assert [_name(v) for v in s] == ["inf", "2", "3", "250049", "666733", "1000003"]
 
 
-def test_twist_examples():
-    m = FullTwoTorsionModel((-1, 0, 1))
-    assert twist(m, -1).roots == (-1, 0, 1)
-    assert twist(m, 5).roots == (-5, 0, 5)
-    assert twist(FullTwoTorsionModel((0, 1, 2)), 1).roots == (0, 1, 2)
-    with pytest.raises(ValueError):
-        twist(m, 0)
-    with pytest.raises(ValueError):
-        twist(m, 12)
+def test_sigma_set_factors_only_root_differences(monkeypatch):
+    # the discriminant of the 5^24 curve is past what rho can split; its
+    # root differences are not
+    factored = []
+
+    def counting(n):
+        factored.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(twoselmer.curve, "factorize", counting)
+    for roots in [(-1, 0, 1), (0, 1000003, 2000199), (0, 531441, -1594323),
+                  (-5**24, 0, 5**48 + 1), (-3**24, 0, 3**48 + 1)]:
+        m = FullTwoTorsionModel(roots)
+        e1, e2, e3 = m.roots
+        factored.clear()
+        sigma = sigma_set.__wrapped__(m)  # past the per-model cache
+        assert len(factored) == 3
+        assert max(abs(n) for n in factored) <= max(e2 - e1, e3 - e1, e3 - e2)
+        # where the discriminant factors fast, its odd primes are the same Sigma
+        if e3 - e1 < 10**7:
+            primes = factorize(full_discriminant(m)).factors
+            assert sigma[2:] == tuple(p for p, _ in primes if p != 2), roots
 
 
 def test_sigma_of_twist_superset():
     m = FullTwoTorsionModel((-1, 0, 1))
     base = set(sigma_set(m))
     for d in (5, -21, 2, 33):
-        tw = set(sigma_set(twist(m, d)))
+        tw = set(sigma_set(FullTwoTorsionModel(tuple(d * e for e in m.roots))))
         assert tw >= base
         extra = tw - base
         assert extra == {p for p in (3, 5, 7, 11) if d % p == 0}
@@ -106,7 +123,7 @@ def test_long_model_discriminant():
     for roots in [(-1, 0, 1), (0, 1, 5), (-7, 1, 20)]:
         e1, e2, e3 = roots
         long = LongModel(0, -(e1 + e2 + e3), 0, e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3)
-        assert long.discriminant == FullTwoTorsionModel(roots).discriminant
+        assert long.discriminant == full_discriminant(FullTwoTorsionModel(roots))
 
 
 def _cubic_with_roots(r1, r2, r3):

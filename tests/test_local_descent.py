@@ -8,7 +8,7 @@ import twoselmer.local_descent
 import twoselmer.twist_lab
 from twoselmer import gf2
 from twoselmer.curve import sigma_set
-from twoselmer.errors import SamplingBudgetExceeded
+from twoselmer.errors import BudgetExceeded
 from twoselmer.local_descent import (
     _sample_x,
     _sampled_image,
@@ -170,7 +170,7 @@ def multiplied_image(model, d_class, place, budget=10**5):
         if local_class((x - roots[0]) * (x - roots[1]) * (x - roots[2]), place) == 0:
             if push(local_class(x - roots[0], place) | local_class(x - roots[1], place) << k):
                 return basis
-    raise SamplingBudgetExceeded(
+    raise BudgetExceeded(
         f"wrong-convention image at {_name(place)} stuck at dim {span.dim}"
     )
 
@@ -188,7 +188,7 @@ def test_multiplied_coordinates_convention_fails(m101):
     ]
     assert violations, "wrong convention unexpectedly isotropic"
     # ... and at the real place it cannot even reach the expected dimension
-    with pytest.raises(SamplingBudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="wrong-convention image at inf stuck"):
         multiplied_image(m101, SIGN, REAL_PLACE)
 
 

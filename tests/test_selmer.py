@@ -5,7 +5,7 @@ import re
 import pytest
 
 import twoselmer.selmer
-from twoselmer.curve import sigma_set, twist
+from twoselmer.curve import FullTwoTorsionModel, sigma_set
 from twoselmer.errors import SoundnessAlarm
 from twoselmer.padic import REAL_PLACE, _width, local_class
 from twoselmer.selmer import (
@@ -175,7 +175,7 @@ def test_collapse_masks_precondition(m101):
 
 
 def test_collapse_masks_drop(m101):
-    tm = twist(m101, 1513)
+    tm = FullTwoTorsionModel(tuple(1513 * e for e in m101.roots))
     spec = SelmerSpec(tm)
     result = selmer_group(spec)
     n_prime = len(result.sigma_prime)

@@ -3,13 +3,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_padic import derandomized
 
-from twoselmer.curve import FullTwoTorsionModel, sigma_set, twist
+from twoselmer.curve import FullTwoTorsionModel, sigma_set
 from twoselmer.local_descent import h_v
 from twoselmer.padic import REAL_PLACE, _name, _width, local_class
 from twoselmer.selmer import SelmerSpec, selmer_group
 import twoselmer.twist_lab
-from twoselmer.errors import SearchBudgetExceeded
+from twoselmer.errors import BudgetExceeded
 from twoselmer.twist_lab import (
     base_rank,
     character_candidates,
@@ -43,7 +45,8 @@ def test_masked_equals_direct_descent(corpus):
     for m in corpus:
         for d in (5, -5, 17, -21, 34, -31):
             masked = selmer_group(twist_spec(m, d)).dim
-            direct = selmer_group(SelmerSpec(twist(m, d))).dim
+            twisted = FullTwoTorsionModel(tuple(d * e for e in m.roots))
+            direct = selmer_group(SelmerSpec(twisted)).dim
             assert masked == direct, (m.roots, d)
 
 
@@ -124,7 +127,7 @@ def test_character_candidates_against_subset_search(search_curves):
 
 def test_character_candidates_budget(m101):
     # the budget counts primes outside Sigma: 3, 5, 7, ...; (-1,0,1) has 17 first
-    with pytest.raises(SearchBudgetExceeded, match="character prime search budget exceeded"):
+    with pytest.raises(BudgetExceeded, match="character prime search budget exceeded"):
         next(character_candidates(m101, {}, budget=5))
     assert next(character_candidates(m101, {}, budget=6)) == 17
 
@@ -142,9 +145,10 @@ def test_search_witnesses(search_curves, m101):
         assert find_inc2(m) == {"q": INC2_WITNESSES[m.roots], "r_before": 2, "r_after": 4}
         assert find_plus_one(m)["d"] == PLUS_ONE_WITNESSES[m.roots]
     # two rungs up the rank ladder of (-1,0,1): 17 * 137 = 2329
-    assert find_inc2(twist(m101, 17)) == {"q": 137, "r_before": 4, "r_after": 6}
-    assert find_inc2(twist(m101, 2329)) == {"q": 55897, "r_before": 6, "r_after": 8}
-    assert find_plus_one(twist(m101, 17)) == {"d": -47, "r_before": 4, "r_after": 5, "masked_rank": 3}
+    e17, e2329 = (FullTwoTorsionModel(tuple(d * e for e in m101.roots)) for d in (17, 2329))
+    assert find_inc2(e17) == {"q": 137, "r_before": 4, "r_after": 6}
+    assert find_inc2(e2329) == {"q": 55897, "r_before": 6, "r_after": 8}
+    assert find_plus_one(e17) == {"d": -47, "r_before": 4, "r_after": 5, "masked_rank": 3}
 
 
 def test_find_inc2(m101):
@@ -220,9 +224,26 @@ def test_multiplicative_h_check():
     # square) and the unramified nontrivial class has norm index 1
     m = FullTwoTorsionModel((0, 1, 5))
     assert len({e % 5 for e in m.roots}) == 2
-    assert valuation(m.discriminant, 5) % 2 == 0
+    e1, e2, e3 = m.roots
+    assert valuation(16 * ((e1 - e2) * (e1 - e3) * (e2 - e3)) ** 2, 5) % 2 == 0
     assert h_v(m, 0b10, 5) == 1
     assert h_v(m, 0, 5) == 0
+
+
+@settings(derandomized, max_examples=100, deadline=None)
+@given(
+    roots=st.lists(st.integers(-30, 30), min_size=3, max_size=3, unique=True),
+    u=st.sampled_from((2, 3, 5, 6, 7, 27, 729, 625, 32, 2401)),
+    t=st.integers(-10**6, 10**6),
+    d=st.integers(-200, 200).filter(is_squarefree),
+)
+def test_ranks_invariant_under_isomorphism(roots, u, t, d):
+    # e_i -> u^2 e_i + t is the same curve; Sigma may gain the primes of u,
+    # so only the ranks are compared
+    m = FullTwoTorsionModel(tuple(roots))
+    moved = FullTwoTorsionModel(tuple(u * u * e + t for e in roots))
+    assert base_rank(moved) == base_rank(m)
+    assert rank_of_twist(moved, d) == rank_of_twist(m, d)
 
 
 def test_base_rank(corpus):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twoselmer.errors import FactorizationBudgetExceeded
+from twoselmer.errors import BudgetExceeded
 from twoselmer.padic import local_class
 from twoselmer.zarith import (
     FactoredInteger,
@@ -46,7 +46,7 @@ def test_is_prime_up_to_the_deterministic_bound():
     psi13 = 3317044064679887385961981
     assert not is_prime(psi13 - 1) and not is_prime(3 * (2**89 - 1))
     for n in (psi13, 2**89 - 1):
-        with pytest.raises(FactorizationBudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="past the deterministic Miller-Rabin bound"):
             is_prime(n)
 
 
