@@ -54,7 +54,7 @@ _RECORD_KEYS = ("d", "rank", "parity_lhs", "parity_rhs", "sigma_prime", "ms")
 
 def _record_line(rec: twist_lab.TwistRecord) -> str:
     """One records.jsonl line; ``_parse_record`` reads it back."""
-    return _dump(dict(zip(_RECORD_KEYS, vars(rec).values()))) + "\n"
+    return _dump(dict(zip(_RECORD_KEYS, rec))) + "\n"
 
 
 def _parse_record(line: str) -> twist_lab.TwistRecord:

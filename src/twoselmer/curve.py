@@ -8,43 +8,36 @@ its own: ``local_twist_classes`` gives its classes on the base model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
+from typing import NamedTuple
 
 from .padic import REAL_PLACE, local_class
 from .zarith import factorize
 
 
-@dataclass(frozen=True)
-class FullTwoTorsionModel:
+class FullTwoTorsionModel(NamedTuple("FullTwoTorsionModel", [("roots", tuple[int, int, int])])):
     """y^2 = (x - e1)(x - e2)(x - e3) with distinct integer roots e1 < e2 < e3."""
 
-    roots: tuple[int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(set(self.roots)) != 3:
+    def __new__(cls, roots: tuple[int, int, int]) -> FullTwoTorsionModel:
+        if len(set(roots)) != 3:
             raise ValueError("roots must be pairwise distinct")
-        object.__setattr__(self, "roots", tuple(sorted(self.roots)))
+        return super().__new__(cls, tuple(sorted(roots)))
 
     def __str__(self) -> str:
         return ",".join(str(e) for e in self.roots)
 
 
-@dataclass(frozen=True)
-class LongModel:
+class LongModel(NamedTuple("LongModel", [(a, Fraction) for a in ("a1", "a2", "a3", "a4", "a6")])):
     """General Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
 
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-    a6: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a1", "a2", "a3", "a4", "a6"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __new__(cls, a1, a2, a3, a4, a6) -> LongModel:
+        return super().__new__(cls, *map(Fraction, (a1, a2, a3, a4, a6)))
 
     def two_division_cubic(self) -> tuple[Fraction, Fraction, Fraction]:
         """Coefficients (c2, c1, c0) of x^3 + c2 x^2 + c1 x + c0 whose roots are

@@ -14,8 +14,8 @@ one loop builds every row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from itertools import islice
+from typing import NamedTuple
 
 from . import gf2
 from .curve import FullTwoTorsionModel, sigma_set
@@ -35,14 +35,21 @@ def _value(generators: tuple[int, ...], bits: int) -> int:
     return n
 
 
-@dataclass
-class SelmerSpec:
+class _SpecFields(NamedTuple):
+    model: FullTwoTorsionModel
+    masks: dict[int, int]
+    strict: frozenset[int]
+    relaxed: frozenset[int]
+
+
+class SelmerSpec(_SpecFields):
     """A Selmer group computation: model, local twist masks, strict/relaxed places."""
 
-    model: FullTwoTorsionModel
-    masks: dict[int, int] = field(default_factory=dict)
-    strict: frozenset[int] = frozenset()
-    relaxed: frozenset[int] = frozenset()
+    __slots__ = ()
+
+    def __new__(cls, model, masks=None, strict=frozenset(), relaxed=frozenset()) -> SelmerSpec:
+        # a fresh masks dict for each spec: cmd_descent adds its --mask entries
+        return super().__new__(cls, model, {} if masks is None else masks, strict, relaxed)
 
     def validate(self) -> None:
         mask_places = set(self.masks)
@@ -50,11 +57,13 @@ class SelmerSpec:
             raise ValueError("mask, strict and relaxed places must be pairwise disjoint")
 
 
-@dataclass
 class SelmerResult:
-    dim: int
-    basis: list[int]
-    sigma_prime: tuple[int, ...]
+    """The kernel vectors of a Selmer computation over Sigma' (mutable)."""
+
+    __slots__ = ("dim", "basis", "sigma_prime")
+
+    def __init__(self, dim: int, basis: list[int], sigma_prime: tuple[int, ...]) -> None:
+        self.dim, self.basis, self.sigma_prime = dim, basis, sigma_prime
 
     def basis_values(self) -> list[tuple[int, int]]:
         gens = self.sigma_prime
@@ -130,8 +139,8 @@ def _verify_pointwise(result: SelmerResult, conditions) -> None:
 
 def duality_check(spec: SelmerSpec, T: frozenset[int]) -> tuple[bool, dict]:
     """Poitou-Tate: dimension identity over T plus direct cross-orthogonality."""
-    dim_strict = selmer_group(replace(spec, strict=spec.strict | T)).dim
-    relaxed = selmer_group(replace(spec, relaxed=spec.relaxed | T))
+    dim_strict = selmer_group(spec._replace(strict=spec.strict | T)).dim
+    relaxed = selmer_group(spec._replace(relaxed=spec.relaxed | T))
     dim_relaxed = relaxed.dim
     expected = sum(len(kummer_image(spec.model, spec.masks.get(v, 0), v)) for v in T)
     report = {

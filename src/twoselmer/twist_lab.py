@@ -7,11 +7,10 @@ a theorem-predicted outcome that fails verification raises SoundnessAlarm.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 from functools import cache
 from itertools import count
 from math import isqrt, prod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .curve import FullTwoTorsionModel, local_twist_classes, sigma_set
 from .errors import BudgetExceeded, SoundnessAlarm
@@ -21,8 +20,7 @@ from .selmer import DEFAULT_PRIME_BUDGET, SelmerSpec, selmer_group
 from .zarith import is_prime, odd_primes
 
 
-@dataclass(frozen=True)
-class TwistRecord:
+class TwistRecord(NamedTuple):
     d: int
     rank: int
     parity_lhs: int
@@ -150,7 +148,7 @@ def scan_records(
     for d in squarefree_twists(bound, after):
         t0 = time.monotonic()
         rec = parity_check(model, d)
-        yield replace(rec, ms=int((time.monotonic() - t0) * 1000)) if timing else rec
+        yield rec._replace(ms=int((time.monotonic() - t0) * 1000)) if timing else rec
 
 
 def summarize(model: FullTwoTorsionModel, bound: int, records: Iterable[TwistRecord]) -> dict:

@@ -9,49 +9,57 @@ nothing in this package touches floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceeded
 
 # The primes up to 41: trial divisors of is_prime and factorize, and the
-# Miller–Rabin witness set, deterministic below _MR_BOUND (the smallest
-# strong pseudoprime to these 13 bases; the first 12 stop at 3.2e23).
+# Miller–Rabin bases.  psi_k, the smallest strong pseudoprime to the first k
+# bases (OEIS A014233; Jaeschke 1993, Sorenson-Webster 2017), bounds the n
+# that k bases decide; _MR_BOUND is psi_13.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
+_PSI = (
+    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+    341_550_071_728_321, 341_550_071_728_321, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+    _MR_BOUND,
+)
 
 DEFAULT_RHO_BUDGET = 10**7
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality.  A witness proves n composite at any size; from
-    _MR_BOUND on, passing every base does not prove n prime, and that
-    verdict raises BudgetExceeded."""
+    """Exact primality.  A witness proves n composite at any size; n below
+    psi_k is prime once it passes the first k bases.  From _MR_BOUND on,
+    passing every base does not prove n prime, and that verdict raises
+    BudgetExceeded."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:  # a composite this small has a prime factor up to 41
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES:
+    for a, psi in zip(_SMALL_PRIMES, _PSI):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    if n >= _MR_BOUND:
-        raise BudgetExceeded(f"{n} is past the deterministic Miller-Rabin bound")
-    return True
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    raise BudgetExceeded(f"{n} is past the deterministic Miller-Rabin bound")
 
 
 def odd_primes() -> Iterator[int]:
@@ -59,8 +67,7 @@ def odd_primes() -> Iterator[int]:
     return (n for n in count(3, 2) if is_prime(n))
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
+class FactoredInteger(NamedTuple):
     """Sign times a product of prime powers."""
 
     sign: int

@@ -37,6 +37,8 @@ def test_model_invariants():
 
 def test_model_normalizes_root_order():
     assert FullTwoTorsionModel((0, 5, 1)).roots == (0, 1, 5)
+    # models are cache keys: one curve is one key, whatever the root order
+    assert len({FullTwoTorsionModel((0, 5, 1)), FullTwoTorsionModel((5, 1, 0))}) == 1
 
 
 def test_sigma_set_examples():
@@ -262,6 +264,7 @@ def test_parse_curve():
     assert require_full_model(parse_curve("0,5,1")).roots == (0, 1, 5)
     long = parse_curve("[1,-128,0,-48,-4]")
     assert isinstance(long, LongModel)
+    assert all(type(a) is Fraction for a in (*long, *LongModel(1, -128, 0, -48, -4)))
     with pytest.raises(ValueError):
         require_full_model(long)
     with pytest.raises(ValueError):

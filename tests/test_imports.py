@@ -9,6 +9,8 @@ UPPER_CASE constant is read by package code.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -140,3 +142,15 @@ def test_unread_constant_check():
 def test_no_unread_constants():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_constants(sources) == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every run pays the CLI's import, and dataclasses alone costs more than the
+    # package through the inspect chain; -S keeps site's preloads out of the set
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import twoselmer.cli; "
+        "print(twoselmer.cli.__file__, sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out == [str(SRC / "cli.py"), "[]"]

@@ -109,6 +109,11 @@ def test_mask_strict_overlap_rejected(m101):
         selmer_group(spec)
 
 
+def test_spec_masks_are_not_shared(m101):
+    SelmerSpec(m101).masks[REAL_PLACE] = SIGN
+    assert SelmerSpec(m101).masks == {}
+
+
 def test_frobenius_eval_examples():
     # at an odd q outside the support, Frobenius is the unit bit of the class
     def frob(pair, q):

@@ -24,7 +24,7 @@ from twoselmer.twist_lab import (
     summarize,
     twist_spec,
 )
-from twoselmer.zarith import is_prime, is_squarefree, valuation
+from twoselmer.zarith import is_prime, is_squarefree, squarefree_value, valuation
 
 SIGN = 1  # the nontrivial class at the real place
 
@@ -220,12 +220,13 @@ def test_scan_rank_flip_babo(m101):
 
 
 def test_multiplicative_h_check():
-    # 5 is multiplicative for (0,1,5): v(Delta) is even (Delta is 16 times a
-    # square) and the unramified nontrivial class has norm index 1
+    # 5 is multiplicative for (0,1,5): exactly one root difference is
+    # divisible by 5 (none at good reduction, all three at additive), and the
+    # unramified nontrivial class has norm index 1
     m = FullTwoTorsionModel((0, 1, 5))
     assert len({e % 5 for e in m.roots}) == 2
     e1, e2, e3 = m.roots
-    assert valuation(16 * ((e1 - e2) * (e1 - e3) * (e2 - e3)) ** 2, 5) % 2 == 0
+    assert sum(valuation(n, 5) > 0 for n in (e2 - e1, e3 - e1, e3 - e2)) == 1
     assert h_v(m, 0b10, 5) == 1
     assert h_v(m, 0, 5) == 0
 
@@ -249,3 +250,16 @@ def test_ranks_invariant_under_isomorphism(roots, u, t, d):
 def test_base_rank(corpus):
     for m in corpus:
         assert base_rank(m) >= 2  # full 2-torsion trivial lower bound
+
+
+@settings(derandomized, max_examples=100, deadline=None)
+@given(
+    roots=st.lists(st.integers(-30, 30), min_size=3, max_size=3, unique=True),
+    d=st.integers(-200, 200).filter(is_squarefree),
+    d2=st.integers(-200, 200).filter(is_squarefree),
+)
+def test_twist_of_a_twist(roots, d, d2):
+    # (E^d)^d' is E^(dd'), and dd' is in the square class of its squarefree part
+    m = FullTwoTorsionModel(tuple(roots))
+    twisted = FullTwoTorsionModel(tuple(d * e for e in m.roots))
+    assert rank_of_twist(twisted, d2) == rank_of_twist(m, squarefree_value(d * d2))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -48,6 +49,41 @@ def test_is_prime_up_to_the_deterministic_bound():
     for n in (psi13, 2**89 - 1):
         with pytest.raises(BudgetExceeded, match="past the deterministic Miller-Rabin bound"):
             is_prime(n)
+
+
+# psi_k, the smallest strong pseudoprime to the first k prime bases (OEIS A014233)
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+    318665857834031151167461,
+)
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+def test_is_prime_decides_each_psi():
+    # psi_k passes the first k bases, so is_prime may stop only below it;
+    # psi_7 = psi_8 passes the first eight as well, and base 23 catches it
+    for k, psi in enumerate(PSI, 1):
+        assert all(strong_probable_prime(psi, a) for a in BASES[:k]), k
+        assert not is_prime(psi), k
+    assert PSI[6] == PSI[7] and not strong_probable_prime(PSI[7], 23)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    n = 2 * 10**5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
 
 
 def test_factorize_composites_past_the_deterministic_bound():
