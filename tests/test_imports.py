@@ -149,8 +149,9 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # package through the inspect chain; -S keeps site's preloads out of the set
     code = (
         f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import twoselmer.cli; "
-        "print(twoselmer.cli.__file__); print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(twoselmer.cli.__file__); "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
-    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                         check=True).stdout.splitlines()
+    argv = [sys.executable, "-S", "-c", code]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.splitlines()
     assert out == [str(SRC / "cli.py"), "[]"]
