@@ -2,7 +2,7 @@
 
 from .curve import FullTwoTorsionModel, LongModel, sigma_set
 from .padic import REAL_PLACE
-from .selmer import SelmerSpec, SelmerResult, selmer_group
+from .selmer import SelmerResult, selmer_group
 from .twist_lab import parity_check, rank_of_twist
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "LongModel",
     "REAL_PLACE",
     "SelmerResult",
-    "SelmerSpec",
     "parity_check",
     "rank_of_twist",
     "selmer_group",

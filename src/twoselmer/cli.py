@@ -23,6 +23,7 @@ from itertools import chain, islice
 from . import __version__, gf2, twist_lab
 from .curve import (
     FullTwoTorsionModel,
+    local_twist_classes,
     parse_curve,
     require_full_model,
     sigma_set,
@@ -30,8 +31,8 @@ from .curve import (
 from .errors import BudgetExceeded, SoundnessAlarm
 from .local_descent import _sampled_image, h_v, kummer_image
 from .padic import REAL_PLACE, _name, _width, local_class, local_pairing, parse_place
-from .selmer import SelmerSpec, duality_check, selmer_group
-from .twist_lab import scan_records, squarefree_twists, summarize, twist_spec
+from .selmer import duality_check, selmer_group
+from .twist_lab import scan_records, squarefree_twists, summarize
 from .zarith import is_prime, is_squarefree
 
 SCHEMA_VERSION = 1
@@ -88,10 +89,9 @@ def _load_model(args) -> FullTwoTorsionModel:
 
 def cmd_descent(args) -> int:
     model = _load_model(args)
-    spec = twist_spec(model, args.twist)
-    spec.masks.update(_parse_mask(m) for m in args.mask or [])
-    result = selmer_group(spec, verify=True)
-    print(_dump(result.to_record(model, spec.masks)))
+    masks = {**local_twist_classes(model, args.twist), **dict(map(_parse_mask, args.mask or []))}
+    result = selmer_group(model, masks, verify=True)
+    print(_dump(result.to_record(model, masks)))
     return EXIT_OK
 
 
@@ -187,7 +187,7 @@ def run_verify_suite(model: FullTwoTorsionModel, suite: str, trials: int, seed: 
             pool = list(sigma) + [p for p in (3, 5, 7, 11, 13) if p not in sigma]
             size = rng.randint(0, 2)
             T = frozenset(rng.sample(pool, size))
-            ok, rep = duality_check(SelmerSpec(model), T)
+            ok, rep = duality_check(model, T)
             detail = rep
         elif suite == "isotropy":
             v = rng.choice(list(sigma) + [p for p in (3, 5, 7) if p not in sigma])
@@ -213,8 +213,8 @@ def run_verify_suite(model: FullTwoTorsionModel, suite: str, trials: int, seed: 
         elif suite == "babo":
             q = rng.choice(list(sigma) + [p for p in (3, 5, 7, 11) if p not in sigma])
             c1, c2 = _random_class(rng, q), _random_class(rng, q)
-            r1 = selmer_group(SelmerSpec(model, {q: c1})).dim
-            r2 = selmer_group(SelmerSpec(model, {q: c2})).dim
+            r1 = selmer_group(model, {q: c1}).dim
+            r2 = selmer_group(model, {q: c2}).dim
             cap = len(kummer_image(model, 0, q))
             ok = abs(r1 - r2) <= cap
             detail = {"place": _name(q), "r1": r1, "r2": r2, "cap": cap}

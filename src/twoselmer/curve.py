@@ -27,6 +27,11 @@ class FullTwoTorsionModel(NamedTuple("FullTwoTorsionModel", [("roots", tuple[int
             raise ValueError("roots must be pairwise distinct")
         return super().__new__(cls, tuple(sorted(roots)))
 
+    @classmethod
+    def _make(cls, iterable) -> FullTwoTorsionModel:
+        # _replace goes through _make, so both keep the checks of __new__
+        return cls(*iterable)
+
     def __str__(self) -> str:
         return ",".join(str(e) for e in self.roots)
 
@@ -38,6 +43,10 @@ class LongModel(NamedTuple("LongModel", [(a, Fraction) for a in ("a1", "a2", "a3
 
     def __new__(cls, a1, a2, a3, a4, a6) -> LongModel:
         return super().__new__(cls, *map(Fraction, (a1, a2, a3, a4, a6)))
+
+    @classmethod
+    def _make(cls, iterable) -> LongModel:
+        return cls(*iterable)
 
     def two_division_cubic(self) -> tuple[Fraction, Fraction, Fraction]:
         """Coefficients (c2, c1, c0) of x^3 + c2 x^2 + c1 x + c0 whose roots are

@@ -15,7 +15,6 @@ one loop builds every row.
 from __future__ import annotations
 
 from itertools import islice
-from typing import NamedTuple
 
 from . import gf2
 from .curve import FullTwoTorsionModel, sigma_set
@@ -33,28 +32,6 @@ def _value(generators: tuple[int, ...], bits: int) -> int:
         if (bits >> i) & 1:
             n *= g
     return n
-
-
-class _SpecFields(NamedTuple):
-    model: FullTwoTorsionModel
-    masks: dict[int, int]
-    strict: frozenset[int]
-    relaxed: frozenset[int]
-
-
-class SelmerSpec(_SpecFields):
-    """A Selmer group computation: model, local twist masks, strict/relaxed places."""
-
-    __slots__ = ()
-
-    def __new__(cls, model, masks=None, strict=frozenset(), relaxed=frozenset()) -> SelmerSpec:
-        # a fresh masks dict for each spec: cmd_descent adds its --mask entries
-        return super().__new__(cls, model, {} if masks is None else masks, strict, relaxed)
-
-    def validate(self) -> None:
-        mask_places = set(self.masks)
-        if mask_places & self.strict or mask_places & self.relaxed or self.strict & self.relaxed:
-            raise ValueError("mask, strict and relaxed places must be pairwise disjoint")
 
 
 class SelmerResult:
@@ -81,31 +58,30 @@ class SelmerResult:
         }
 
 
-def _sigma_prime(spec: SelmerSpec) -> tuple[int, ...]:
-    """Sigma' ascending: the places and, in this order, the generators of Q(Sigma', 2)."""
-    return tuple(sorted({*sigma_set(spec.model), *spec.masks, *spec.strict, *spec.relaxed}))
-
-
-def _local_condition(spec: SelmerSpec, v: int) -> tuple[int, ...]:
-    """Basis of the condition at v: none if strict, all cocycles if relaxed, else alpha_v."""
-    if v in spec.strict:
-        return ()
-    if v in spec.relaxed:
-        return tuple(1 << j for j in range(2 * _width(v)))
-    return kummer_image(spec.model, spec.masks.get(v, 0), v)
-
-
-def selmer_group(spec: SelmerSpec, verify: bool = False) -> SelmerResult:
+def selmer_group(
+    model: FullTwoTorsionModel,
+    masks: dict[int, int],
+    strict: frozenset[int] = frozenset(),
+    relaxed: frozenset[int] = frozenset(),
+    verify: bool = False,
+) -> SelmerResult:
     """Kernel computation of the (masked / strict / relaxed) 2-Selmer group."""
-    spec.validate()
-    places = _sigma_prime(spec)
+    if masks.keys() & strict or masks.keys() & relaxed or strict & relaxed:
+        raise ValueError("mask, strict and relaxed places must be pairwise disjoint")
+    # Sigma' ascending: the places and, in this order, the generators of Q(Sigma', 2)
+    places = tuple(sorted({*sigma_set(model), *masks, *strict, *relaxed}))
     m = len(places)
 
     rows: list[int] = []
     conditions: list[tuple[int, tuple[int, ...]]] = []
     for v in places:
         k = _width(v)
-        condition = _local_condition(spec, v)
+        if v in strict:
+            condition: tuple[int, ...] = ()
+        elif v in relaxed:
+            condition = tuple(1 << j for j in range(2 * k))
+        else:
+            condition = kummer_image(model, masks.get(v, 0), v)
         # restriction at v, one row per cocycle bit over the 2m generator coordinates
         loc = [local_class(g, v) for g in places]
         res = [sum(((c >> i) & 1) << j for j, c in enumerate(loc)) for i in range(k)]
@@ -137,12 +113,12 @@ def _verify_pointwise(result: SelmerResult, conditions) -> None:
                 )
 
 
-def duality_check(spec: SelmerSpec, T: frozenset[int]) -> tuple[bool, dict]:
+def duality_check(model: FullTwoTorsionModel, T: frozenset[int]) -> tuple[bool, dict]:
     """Poitou-Tate: dimension identity over T plus direct cross-orthogonality."""
-    dim_strict = selmer_group(spec._replace(strict=spec.strict | T)).dim
-    relaxed = selmer_group(spec._replace(relaxed=spec.relaxed | T))
+    dim_strict = selmer_group(model, {}, strict=T).dim
+    relaxed = selmer_group(model, {}, relaxed=T)
     dim_relaxed = relaxed.dim
-    expected = sum(len(kummer_image(spec.model, spec.masks.get(v, 0), v)) for v in T)
+    expected = sum(len(kummer_image(model, 0, v)) for v in T)
     report = {
         "T": [_name(v) for v in sorted(T)],
         "dim_strict": dim_strict,
@@ -152,7 +128,7 @@ def duality_check(spec: SelmerSpec, T: frozenset[int]) -> tuple[bool, dict]:
         "orthogonal": True,
         "counterexample": None,
     }
-    plain = selmer_group(spec).basis_values()
+    plain = selmer_group(model, {}).basis_values()
     for x in relaxed.basis_values():
         for y in plain:
             s = 0
@@ -181,7 +157,7 @@ def _find_frobenius_prime(generators: tuple[int, ...], target_index: int) -> int
     raise BudgetExceeded("no Frobenius prime found within budget")
 
 
-def collapse_masks(spec: SelmerSpec) -> list[tuple[int, int]]:
+def collapse_masks(model: FullTwoTorsionModel) -> list[tuple[int, int]]:
     """Ramified masks at k new primes that drop the Selmer dimension by 2k.
 
     Requires dim = n + k with 2 <= k <= n, n = |Sigma'|.  Directions are
@@ -189,7 +165,7 @@ def collapse_masks(spec: SelmerSpec) -> list[tuple[int, int]]:
     is jointly surjective onto (F2^2)^k, then primes realizing those
     Frobenius conditions are found by Legendre-symbol search.
     """
-    result = selmer_group(spec)
+    result = selmer_group(model, {})
     places = result.sigma_prime
     n = len(places)
     k = result.dim - n

@@ -16,7 +16,7 @@ from .curve import FullTwoTorsionModel, local_twist_classes, sigma_set
 from .errors import BudgetExceeded, SoundnessAlarm
 from .local_descent import h_v
 from .padic import REAL_PLACE, local_class
-from .selmer import DEFAULT_PRIME_BUDGET, SelmerSpec, selmer_group
+from .selmer import DEFAULT_PRIME_BUDGET, selmer_group
 from .zarith import is_prime, odd_primes
 
 
@@ -33,19 +33,15 @@ class TwistRecord(NamedTuple):
         return self.parity_lhs == self.parity_rhs
 
 
-def twist_spec(model: FullTwoTorsionModel, d: int) -> SelmerSpec:
-    """Masked spec computing Sel_2(E^d) through the base model's coordinates."""
-    return SelmerSpec(model, local_twist_classes(model, d))
-
-
 def rank_of_twist(model: FullTwoTorsionModel, d: int) -> int:
-    return selmer_group(twist_spec(model, d)).dim
+    """r2(E^d), the Selmer group masked by d's classes on the base model."""
+    return selmer_group(model, local_twist_classes(model, d)).dim
 
 
 @cache
 def base_rank(model: FullTwoTorsionModel) -> int:
     """r2(E), computed once per model."""
-    return selmer_group(SelmerSpec(model)).dim
+    return selmer_group(model, {}).dim
 
 
 def parity_check(model: FullTwoTorsionModel, d: int) -> TwistRecord:
@@ -55,9 +51,9 @@ def parity_check(model: FullTwoTorsionModel, d: int) -> TwistRecord:
     """
     r0 = base_rank(model)
     sigma = sigma_set(model)
-    spec = twist_spec(model, d)
-    result = selmer_group(spec)
-    rhs = sum(h_v(model, cls, v) for v, cls in spec.masks.items() if v in sigma) % 2
+    masks = local_twist_classes(model, d)
+    result = selmer_group(model, masks)
+    rhs = sum(h_v(model, cls, v) for v, cls in masks.items() if v in sigma) % 2
     return TwistRecord(d, result.dim, (r0 - result.dim) % 2, rhs, len(result.sigma_prime), 0)
 
 
@@ -107,7 +103,7 @@ def find_plus_one(model: FullTwoTorsionModel, budget: int = DEFAULT_PRIME_BUDGET
     """A negative twist raising the Selmer rank by exactly 1 (real-place route)."""
     r_before = base_rank(model)
     sign_mask = {REAL_PLACE: 1}
-    masked = selmer_group(SelmerSpec(model, dict(sign_mask))).dim
+    masked = selmer_group(model, sign_mask).dim
     if masked != r_before - 1:
         raise SoundnessAlarm(
             f"sign-masked rank {masked} != r - 1 = {r_before - 1}"

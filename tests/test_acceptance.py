@@ -22,7 +22,7 @@ from twoselmer.local_descent import (
     kummer_image,
 )
 from twoselmer.padic import REAL_PLACE, _name, _width, local_class, local_pairing
-from twoselmer.selmer import SelmerSpec, collapse_masks, duality_check, selmer_group
+from twoselmer.selmer import collapse_masks, duality_check, selmer_group
 from twoselmer.twist_lab import find_inc2, scan_records, summarize
 
 CORPUS = [(-1, 0, 1), (0, 1, 2), (0, 1, 5)]
@@ -107,7 +107,7 @@ def run_pipeline():
     code, doc = cli("descent", "--curve=-1,0,1")
     timings["c1_s"] = time.monotonic() - t0
     oracle = bruteforce_base_oracle()
-    result = selmer_group(SelmerSpec(FullTwoTorsionModel((-1, 0, 1))))
+    result = selmer_group(FullTwoTorsionModel((-1, 0, 1)), {})
     out["c1"] = {
         "cli_exit": code,
         "cli_dim": doc["dim"] if doc else None,
@@ -141,7 +141,7 @@ def run_pipeline():
             if p not in sigma_set(m)
         ]
         T = frozenset(rng.sample(pool, rng.randint(0, 2)))
-        ok, rep = duality_check(SelmerSpec(m), T)
+        ok, rep = duality_check(m, T)
         duality["trials"] += 1
         if ok:
             duality["passed"] += 1
@@ -223,7 +223,7 @@ def run_pipeline():
         masked_ranks = []
         for v in sigma_set(m):
             for bits in range(1, 1 << _width(v)):
-                dim = selmer_group(SelmerSpec(m, {v: bits})).dim
+                dim = selmer_group(m, {v: bits}).dim
                 masked_ranks.append({"place": _name(v), "bits": bits, "dim": dim})
         c9[str(roots)] = {
             "t_hat": summary["t_hat"],
@@ -247,11 +247,8 @@ def run_pipeline():
             break
     d10, rank10, n10, k10 = witness
     tm = FullTwoTorsionModel(tuple(d10 * e for e in m101.roots))
-    spec = SelmerSpec(tm)
-    masks = collapse_masks(spec)
-    collapsed = selmer_group(
-        SelmerSpec(tm, {w: c for w, c in masks}), verify=True
-    ).dim
+    masks = collapse_masks(tm)
+    collapsed = selmer_group(tm, {w: c for w, c in masks}, verify=True).dim
     out["c10"] = {
         "d": d10,
         "rank": rank10,

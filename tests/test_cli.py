@@ -8,7 +8,7 @@ from twoselmer import cli
 from twoselmer.cli import main
 from twoselmer.local_descent import kummer_image
 from twoselmer.padic import REAL_PLACE, parse_place
-from twoselmer.selmer import SelmerSpec, duality_check
+from twoselmer.selmer import duality_check
 
 
 def run(capsys, *argv):
@@ -137,7 +137,7 @@ def test_real_place_is_spelled_inf(capsys, m101):
     doc = last_json(out)
     assert code == 0
     assert doc["sigma_prime"] == ["inf", "2"] and doc["masks"] == {"inf": [1]}
-    _, report = duality_check(SelmerSpec(m101), frozenset({REAL_PLACE}))
+    _, report = duality_check(m101, frozenset({REAL_PLACE}))
     assert report["T"] == ["inf"]
     with pytest.raises(ValueError, match="^class 2 out of range at inf$"):
         kummer_image(m101, 2, REAL_PLACE)

@@ -16,7 +16,7 @@ from twoselmer.curve import (
     sigma_set,
 )
 from twoselmer.padic import REAL_PLACE, _name, local_class
-from twoselmer.selmer import SelmerSpec, selmer_group
+from twoselmer.selmer import selmer_group
 from twoselmer.zarith import factorize, is_prime, legendre
 
 
@@ -33,12 +33,17 @@ def test_model_invariants():
     assert (2 - e1) * (2 - e2) * (2 - e3) == 6
     with pytest.raises(ValueError):
         FullTwoTorsionModel((1, 1, 2))
+    # _replace and _make go through __new__
+    with pytest.raises(ValueError):
+        m._replace(roots=(2, 2, 1))
 
 
 def test_model_normalizes_root_order():
     assert FullTwoTorsionModel((0, 5, 1)).roots == (0, 1, 5)
     # models are cache keys: one curve is one key, whatever the root order
     assert len({FullTwoTorsionModel((0, 5, 1)), FullTwoTorsionModel((5, 1, 0))}) == 1
+    assert FullTwoTorsionModel._make([(5, 1, 0)]).roots == (0, 1, 5)
+    assert FullTwoTorsionModel((0, 5, 1))._replace(roots=(9, 2, 1)).roots == (1, 2, 9)
 
 
 def test_sigma_set_examples():
@@ -250,7 +255,7 @@ def test_progression_primes_meet_the_inc2_conditions(search_curves):
     for m in search_curves:
         modulus = 8 * math.prod(sigma_set(m)[2:])
         progression = (q for q in itertools.count(1 + modulus, modulus) if is_prime(q))
-        values = {x for pair in selmer_group(SelmerSpec(m)).basis_values() for x in pair}
+        values = {x for pair in selmer_group(m, {}).basis_values() for x in pair}
         for q in itertools.islice(progression, 8):
             assert all(legendre(x, q) == 1 for x in values), (m.roots, q)
             if q < 500:
@@ -265,6 +270,8 @@ def test_parse_curve():
     long = parse_curve("[1,-128,0,-48,-4]")
     assert isinstance(long, LongModel)
     assert all(type(a) is Fraction for a in (*long, *LongModel(1, -128, 0, -48, -4)))
+    halved = LongModel(1, 2, 3, 4, 5)._replace(a1=0.5).a1
+    assert halved == Fraction(1, 2) and type(halved) is Fraction
     with pytest.raises(ValueError):
         require_full_model(long)
     with pytest.raises(ValueError):

@@ -5,17 +5,15 @@ import re
 import pytest
 
 import twoselmer.selmer
-from twoselmer.curve import FullTwoTorsionModel, sigma_set
+from twoselmer.curve import FullTwoTorsionModel, local_twist_classes, sigma_set
 from twoselmer.errors import SoundnessAlarm
 from twoselmer.padic import REAL_PLACE, _width, local_class
 from twoselmer.selmer import (
     SelmerResult,
-    SelmerSpec,
     collapse_masks,
     duality_check,
     selmer_group,
 )
-from twoselmer.twist_lab import twist_spec
 from twoselmer.zarith import squarefree_value
 
 SIGN = 1  # the nontrivial class at the real place
@@ -29,7 +27,7 @@ def test_global_class_basis():
 
 
 def test_base_descent_dim(m101):
-    result = selmer_group(SelmerSpec(m101), verify=True)
+    result = selmer_group(m101, {}, verify=True)
     assert result.dim == 2
     # rank 0 with full 2-torsion: the group is exactly the torsion image
     values = set()
@@ -44,49 +42,42 @@ def test_base_descent_dim(m101):
 
 def test_trivial_mask_is_noop(corpus):
     for m in corpus:
-        base = selmer_group(SelmerSpec(m)).dim
+        base = selmer_group(m, {}).dim
         for v in sigma_set(m):
-            masked = selmer_group(SelmerSpec(m, {v: 0})).dim
+            masked = selmer_group(m, {v: 0}).dim
             assert masked == base
 
 
 def test_sign_mask_drops_by_one(corpus):
     for m in corpus:
-        base = selmer_group(SelmerSpec(m)).dim
-        masked = selmer_group(SelmerSpec(m, {REAL_PLACE: SIGN}), verify=True).dim
+        base = selmer_group(m, {}).dim
+        masked = selmer_group(m, {REAL_PLACE: SIGN}, verify=True).dim
         assert masked == base - 1
 
 
-def strict_relaxed_dims(spec, T):
+def strict_relaxed_dims(model, T):
     """(dim Sel_{2,T}, dim Sel_2^T) as duality_check reports them."""
-    _, rep = duality_check(spec, T)
+    _, rep = duality_check(model, T)
     return rep["dim_strict"], rep["dim_relaxed"]
 
 
 def test_strict_relaxed_examples(m101):
-    spec = SelmerSpec(m101)
-    base = selmer_group(spec).dim
-    s0, r0 = strict_relaxed_dims(spec, frozenset())
+    base = selmer_group(m101, {}).dim
+    s0, r0 = strict_relaxed_dims(m101, frozenset())
     assert s0 == r0 == base
-    s5, r5 = strict_relaxed_dims(spec, frozenset({5}))
+    s5, r5 = strict_relaxed_dims(m101, frozenset({5}))
     assert r5 - s5 == 2
-    si, ri = strict_relaxed_dims(spec, frozenset({REAL_PLACE}))
+    si, ri = strict_relaxed_dims(m101, frozenset({REAL_PLACE}))
     assert ri - si == 1
 
 
 def test_duality_examples(m101):
-    spec = SelmerSpec(m101)
-    ok, rep = duality_check(spec, frozenset())
+    ok, rep = duality_check(m101, frozenset())
     assert ok
-    ok, rep = duality_check(spec, frozenset({5}))
+    ok, rep = duality_check(m101, frozenset({5}))
     assert ok and rep["expected_gap"] == 2
-    ok, rep = duality_check(spec, frozenset({5, 13}))
+    ok, rep = duality_check(m101, frozenset({5, 13}))
     assert ok and rep["expected_gap"] == 4 and rep["orthogonal"]
-
-
-def test_duality_rejects_mask_place_in_T(m101):
-    with pytest.raises(ValueError):
-        duality_check(SelmerSpec(m101, {5: 1}), frozenset({5}))
 
 
 def test_duality_seeded_random(corpus):
@@ -99,19 +90,25 @@ def test_duality_seeded_random(corpus):
         ]
         for _ in range(8):
             T = frozenset(rng.sample(pool, rng.randint(0, 2)))
-            ok, rep = duality_check(SelmerSpec(m), T)
+            ok, rep = duality_check(m, T)
             assert ok, rep
 
 
-def test_mask_strict_overlap_rejected(m101):
-    spec = SelmerSpec(m101, {REAL_PLACE: SIGN}, strict=frozenset({REAL_PLACE}))
-    with pytest.raises(ValueError):
-        selmer_group(spec)
+@pytest.mark.parametrize("masks, strict, relaxed", [
+    ({REAL_PLACE: SIGN}, {REAL_PLACE}, set()),
+    ({5: 1}, set(), {5}),
+    ({}, {5}, {5}),
+], ids=["mask-strict", "mask-relaxed", "strict-relaxed"])
+def test_mask_strict_overlap_rejected(m101, masks, strict, relaxed):
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        selmer_group(m101, masks, frozenset(strict), frozenset(relaxed))
 
 
-def test_spec_masks_are_not_shared(m101):
-    SelmerSpec(m101).masks[REAL_PLACE] = SIGN
-    assert SelmerSpec(m101).masks == {}
+def test_selmer_group_leaves_masks_unchanged(m101):
+    masks = local_twist_classes(m101, -21)
+    before = dict(masks)
+    selmer_group(m101, masks, verify=True)
+    assert masks == before
 
 
 def test_frobenius_eval_examples():
@@ -130,7 +127,7 @@ def test_prop_2n_bound(corpus):
         n = len(sigma_set(m))
         for v in sigma_set(m):
             for bits in range(1, 1 << _width(v)):
-                dim = selmer_group(SelmerSpec(m, {v: bits})).dim
+                dim = selmer_group(m, {v: bits}).dim
                 assert dim <= 2 * n
 
 
@@ -144,8 +141,8 @@ def test_babo_single_mask_change(corpus):
             v = rng.choice(places)
             c1 = rng.getrandbits(_width(v))
             c2 = rng.getrandbits(_width(v))
-            r1 = selmer_group(SelmerSpec(m, {v: c1})).dim
-            r2 = selmer_group(SelmerSpec(m, {v: c2})).dim
+            r1 = selmer_group(m, {v: c1}).dim
+            r2 = selmer_group(m, {v: c2}).dim
             cap = len(kummer_image(m, 0, v))
             assert abs(r1 - r2) <= cap
 
@@ -155,7 +152,7 @@ def test_mask_parity(corpus):
 
     rng = random.Random(14)
     for m in corpus:
-        base = selmer_group(SelmerSpec(m)).dim
+        base = selmer_group(m, {}).dim
         places = list(sigma_set(m)) + [7]
         for _ in range(6):
             masks = {}
@@ -164,40 +161,37 @@ def test_mask_parity(corpus):
                 c = rng.getrandbits(_width(v))
                 masks[v] = c
                 hsum += h_v(m, c, v)
-            dim = selmer_group(SelmerSpec(m, masks)).dim
+            dim = selmer_group(m, masks).dim
             assert (dim - base) % 2 == hsum % 2
 
 
 def test_extra_good_prime_conditions_are_redundant(m101):
-    base = selmer_group(SelmerSpec(m101)).dim
+    base = selmer_group(m101, {}).dim
     masks = {p: 0 for p in (7, 11, 13)}
-    assert selmer_group(SelmerSpec(m101, masks), verify=True).dim == base
+    assert selmer_group(m101, masks, verify=True).dim == base
 
 
 def test_collapse_masks_precondition(m101):
     with pytest.raises(ValueError):
-        collapse_masks(SelmerSpec(m101))  # dim 2 = n, k = 0
+        collapse_masks(m101)  # dim 2 = n, k = 0
 
 
 def test_collapse_masks_drop(m101):
     tm = FullTwoTorsionModel(tuple(1513 * e for e in m101.roots))
-    spec = SelmerSpec(tm)
-    result = selmer_group(spec)
+    result = selmer_group(tm, {})
     n_prime = len(result.sigma_prime)
     k = result.dim - n_prime
     assert k == 2
-    masks = collapse_masks(spec)
+    masks = collapse_masks(tm)
     assert len(masks) == k
     for w, cls in masks:
         assert cls & 1  # ramified
-    collapsed = selmer_group(
-        SelmerSpec(tm, {w: c for w, c in masks}), verify=True
-    )
+    collapsed = selmer_group(tm, {w: c for w, c in masks}, verify=True)
     assert collapsed.dim == result.dim - 2 * k
 
 
 def test_result_serialization_round_trip(m101):
-    result = selmer_group(SelmerSpec(m101, {REAL_PLACE: SIGN}))
+    result = selmer_group(m101, {REAL_PLACE: SIGN})
     record = result.to_record(m101, {REAL_PLACE: SIGN})
     blob = json.dumps(record, sort_keys=True)
     back = json.loads(blob)
@@ -219,7 +213,7 @@ def test_pointwise_check_names_first_violation(request, monkeypatch, model, d, f
         return tuple(c | 1 << 2 * _width(place) for c in image(curve, d_class, place))
 
     monkeypatch.setattr(twoselmer.selmer, "kummer_image", tampered)
-    spec = twist_spec(request.getfixturevalue(model), d)
+    curve = request.getfixturevalue(model)
     # element-major: the first basis element that fails anywhere, at its first such place
     with pytest.raises(SoundnessAlarm, match=rf"^{re.escape(first)}$"):
-        selmer_group(spec, verify=True)
+        selmer_group(curve, local_twist_classes(curve, d), verify=True)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_padic import derandomized
 
-from twoselmer.curve import FullTwoTorsionModel, sigma_set
+from twoselmer.curve import FullTwoTorsionModel, local_twist_classes, sigma_set
 from twoselmer.local_descent import h_v
 from twoselmer.padic import REAL_PLACE, _name, _width, local_class
-from twoselmer.selmer import SelmerSpec, selmer_group
+from twoselmer.selmer import selmer_group
 import twoselmer.twist_lab
 from twoselmer.errors import BudgetExceeded
 from twoselmer.twist_lab import (
@@ -22,7 +22,6 @@ from twoselmer.twist_lab import (
     scan_records,
     squarefree_twists,
     summarize,
-    twist_spec,
 )
 from twoselmer.zarith import is_prime, is_squarefree, squarefree_value, valuation
 
@@ -44,9 +43,9 @@ def test_masked_equals_direct_descent(corpus):
     # Sel_2(E^d) through base-model masks == descent on the twisted model
     for m in corpus:
         for d in (5, -5, 17, -21, 34, -31):
-            masked = selmer_group(twist_spec(m, d)).dim
+            masked = selmer_group(m, local_twist_classes(m, d)).dim
             twisted = FullTwoTorsionModel(tuple(d * e for e in m.roots))
-            direct = selmer_group(SelmerSpec(twisted)).dim
+            direct = selmer_group(twisted, {}).dim
             assert masked == direct, (m.roots, d)
 
 
@@ -202,9 +201,9 @@ def test_scan_records_builds_base_group_once(monkeypatch):
     m = FullTwoTorsionModel((0, 1, 5))
     calls = []
 
-    def counting(spec, *args, **kwargs):
-        calls.append(spec)
-        return selmer_group(spec, *args, **kwargs)
+    def counting(model, *args, **kwargs):
+        calls.append(model)
+        return selmer_group(model, *args, **kwargs)
 
     monkeypatch.setattr(twoselmer.twist_lab, "selmer_group", counting)
     records = list(scan_records(m, 20))
