@@ -10,7 +10,8 @@ the 2-torsion cocycles are extended by images of sampled local points until
 the known a-priori dimension is reached, so the basis is certified and its
 length is the dimension.  Images are cached per (model, place, twist
 class), since a twist's local conditions depend only on its local square
-class.  h_v is read from one rank.
+class, and each image's check rows per (image, width), since the rows
+depend on the image alone.  h_v is read from one rank.
 """
 
 from __future__ import annotations
@@ -27,10 +28,13 @@ from .zarith import valuation
 DEFAULT_SAMPLING_BUDGET = 10**5
 
 
-def _torsion_cocycles(roots: tuple[int, int, int], place: int) -> tuple[int, int]:
-    r1, r2, r3 = roots
-    return (_cocycle((r1 - r2) * (r1 - r3), r1 - r2, place),
-            _cocycle(r2 - r1, (r2 - r1) * (r2 - r3), place))
+def _torsion_cocycles(model: FullTwoTorsionModel, d_class: int, place: int) -> tuple[int, int]:
+    # root i of the twist is rep * e_i, class(rep) = d_class, under the canonical
+    # E[2] identification (e_i, 0) <-> (d e_i, 0): rep^2 drops out of the
+    # products, and d_class adds to the single differences
+    e1, e2, e3 = model.roots
+    return (_cocycle((e1 - e2) * (e1 - e3), e1 - e2, place) ^ d_class << _width(place),
+            _cocycle(e2 - e1, (e2 - e1) * (e2 - e3), place) ^ d_class)
 
 
 def _sample_x(p: int, roots: tuple[int, int, int]) -> Iterator[tuple[int, int]]:
@@ -70,16 +74,11 @@ def _sample_x(p: int, roots: tuple[int, int, int]) -> Iterator[tuple[int, int]]:
 
 
 _image_cache: dict[tuple, tuple[int, ...]] = {}
+# check rows per (image, width): a few dozen distinct images cover every twist
+_check_cache: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
 
 # the unit cocycles (u, 1) and (1, u), u a non-residue: the unramified image
 _UNRAMIFIED = (0b10, 0b10 << 2)
-
-
-def _twisted_roots(model: FullTwoTorsionModel, d_class: int, place: int) -> tuple[int, int, int]:
-    # Order matters: root i of the twist corresponds to root i of the base
-    # model under the canonical E[2] identification (e_i, 0) <-> (d e_i, 0).
-    rep = representative(place, d_class)
-    return tuple(rep * e for e in model.roots)
 
 
 def kummer_image(model: FullTwoTorsionModel, d_class: int, place: int) -> tuple[int, ...]:
@@ -92,7 +91,7 @@ def kummer_image(model: FullTwoTorsionModel, d_class: int, place: int) -> tuple[
         if place in sigma_set(model):
             image = _sampled_image(model, d_class, place)
         elif d_class & 1:
-            image = _torsion_cocycles(_twisted_roots(model, d_class, place), place)
+            image = _torsion_cocycles(model, d_class, place)
         else:
             image = _UNRAMIFIED
         _image_cache[key] = image
@@ -101,11 +100,13 @@ def kummer_image(model: FullTwoTorsionModel, d_class: int, place: int) -> tuple[
 
 def _sampled_image(model: FullTwoTorsionModel, d_class: int, place: int) -> tuple[int, ...]:
     """alpha_v from the 2-torsion cocycles and sampled local points, valid at every place."""
-    roots = _twisted_roots(model, d_class, place)
+    # the twisted roots, in the order of that identification
+    rep = representative(place, d_class)
+    roots = tuple(rep * e for e in model.roots)
     # dim E'(Q_v)/2E'(Q_v) = width: full rational 2-torsion survives every twist
     target = _width(place)
     span = gf2.Span()
-    basis = [t for t in _torsion_cocycles(roots, place) if span.add(t)]
+    basis = [t for t in _torsion_cocycles(model, d_class, place) if span.add(t)]
     # at inf they already reach width 1: t1 = 0 makes r1 the largest root, so r2 - r1 < 0 in t2
     samples = _sample_x(place, roots) if span.dim < target else ()
     # x - e_i = w_i / q has the class of w_i q, and f(x) that of w1 w2 w3 q
@@ -125,6 +126,15 @@ def _sampled_image(model: FullTwoTorsionModel, d_class: int, place: int) -> tupl
     return tuple(basis)
 
 
+def image_checks(image: tuple[int, ...], place: int) -> tuple[int, ...]:
+    """Check rows of an image at a place: its annihilator under the bit-dot pairing."""
+    width = _width(place)
+    checks = _check_cache.get((image, width))
+    if checks is None:
+        checks = _check_cache[image, width] = tuple(gf2.kernel_basis(image, 2 * width))
+    return checks
+
+
 def h_v(model: FullTwoTorsionModel, d_class: int, place: int) -> int:
     """Kramer's local norm index h_v = dim alpha_v(1) - dim(alpha_v(1) ∩ alpha_v(chi))."""
     if not d_class:
@@ -137,3 +147,4 @@ def h_v(model: FullTwoTorsionModel, d_class: int, place: int) -> int:
 
 def clear_image_cache() -> None:
     _image_cache.clear()
+    _check_cache.clear()

@@ -19,7 +19,7 @@ from itertools import islice
 from . import gf2
 from .curve import FullTwoTorsionModel, sigma_set
 from .errors import BudgetExceeded, SoundnessAlarm
-from .local_descent import kummer_image
+from .local_descent import image_checks, kummer_image
 from .padic import _cocycle, _name, _width, local_class, local_pairing
 from .zarith import legendre, odd_primes
 
@@ -87,7 +87,7 @@ def selmer_group(
         res = [sum(((c >> i) & 1) << j for j, c in enumerate(loc)) for i in range(k)]
         res += [r << m for r in res]
         # each check annihilates the condition under the bit-dot pairing
-        for h in gf2.kernel_basis(condition, 2 * k):
+        for h in image_checks(condition, v):
             row = 0
             for i in range(2 * k):
                 if (h >> i) & 1:

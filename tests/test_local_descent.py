@@ -15,6 +15,7 @@ from twoselmer.local_descent import (
     _torsion_cocycles,
     clear_image_cache,
     h_v,
+    image_checks,
     kummer_image,
 )
 from twoselmer.padic import (
@@ -159,7 +160,7 @@ def multiplied_image(model, d_class, place, budget=10**5):
             basis.append(c ^ shift)
         return span.dim == k
 
-    for t in _torsion_cocycles(roots, place):
+    for t in _torsion_cocycles(model, d_class, place):
         if push(t):
             return basis
     xs = real_x() if place == REAL_PLACE else _sample_x(place, roots)
@@ -208,10 +209,25 @@ def test_image_cache_consistency(m101):
     a = kummer_image(m101, 0, p)
     b = kummer_image(m101, 0, p)
     assert a is b
+    assert image_checks(a, p) is image_checks(a, p)
+    assert twoselmer.local_descent._check_cache
     clear_image_cache()
+    assert not twoselmer.local_descent._check_cache
     c = kummer_image(m101, 0, p)
     assert c is not a
     assert span_rows(c) == span_rows(a)
+
+
+def test_image_checks_annihilate_the_image(corpus):
+    for m in corpus:
+        for place in (*sigma_set(m), *itertools.takewhile(lambda q: q < 200, odd_primes())):
+            k = _width(place)
+            for c in range(1 << k):
+                image = kummer_image(m, c, place)
+                checks = image_checks(image, place)
+                assert len(checks) == 2 * k - len(image)
+                for h in checks:
+                    assert all((h & a).bit_count() % 2 == 0 for a in image)
 
 
 def span_rows(basis):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_padic import derandomized
 
+import twoselmer.gf2
 from twoselmer.curve import FullTwoTorsionModel, local_twist_classes, sigma_set
+from twoselmer.gf2 import kernel_basis
 from twoselmer.local_descent import h_v
 from twoselmer.padic import REAL_PLACE, _name, _width, local_class
 from twoselmer.selmer import selmer_group
@@ -208,6 +210,21 @@ def test_scan_records_builds_base_group_once(monkeypatch):
     monkeypatch.setattr(twoselmer.twist_lab, "selmer_group", counting)
     records = list(scan_records(m, 20))
     assert len(calls) <= len(records) + 1
+
+
+def test_warm_scan_runs_one_kernel_per_twist(m015, monkeypatch):
+    # warm, each condition's check rows come from the cache: only the
+    # Selmer kernel itself is computed
+    list(scan_records(m015, 50))
+    calls = []
+
+    def counting(rows, width):
+        calls.append(width)
+        return kernel_basis(rows, width)
+
+    monkeypatch.setattr(twoselmer.gf2, "kernel_basis", counting)
+    records = list(scan_records(m015, 50))
+    assert len(calls) == len(records) > 0
 
 
 def test_scan_rank_flip_babo(m101):

@@ -15,8 +15,11 @@ the per-layer counts.  The file holds every run, and per workload and side
 the median and quartiles of each end-to-end metric and the failed ops.
 Under ``gate`` it holds, for each end-to-end metric that ``BENCHMARK.json``
 declares, the change/parent median ratio, on how many pairs the change won in
-the metric's ``better`` direction, and whether the change's median is within
-the metric's ``bound`` of the parent's; each breach is also printed to stderr.
+the metric's ``better`` direction, whether the change's median is within the
+metric's ``bound`` of the parent's (each breach is also printed to stderr),
+``parent_iqr`` (q3 - q1 of the parent's runs) and ``meets_claim_rule``: the
+change wins at least 9 of the 10 pairs and its median is better than the
+parent's by more than ``parent_iqr``, the rule a claimed gain must meet.
 ``src_lines`` gives each side's ``wc -l src/twoselmer/*.py`` total, the design
 metric.
 
@@ -45,6 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 WORKLOADS = ("scan", "rescan", "query")
 PAIRS = 10
+CLAIM_WINS = 9
 SEED = 1
 SECONDS = 25
 
@@ -112,10 +116,14 @@ def gate(workload: str, by_side: dict[str, list[dict]]) -> dict:
         sign = 1 if metric["better"] == "higher" else -1
         values = {s: [r["metrics"][name]["value"] for r in runs] for s, runs in by_side.items()}
         wins = sum(sign * (c - q) > 0 for q, c in zip(values["parent"], values["change"]))
-        ratio = statistics.median(values["change"]) / statistics.median(values["parent"])
+        parent, change = statistics.median(values["parent"]), statistics.median(values["change"])
+        ratio = change / parent
         within = sign * (ratio - 1) >= -bound
+        q1, _, q3 = statistics.quantiles(values["parent"], n=4, method="inclusive")
         out[name] = {"better": metric["better"], "bound": bound, "ratio": ratio,
-                     "change_wins": f"{wins}/{PAIRS}", "within_bound": within}
+                     "change_wins": f"{wins}/{PAIRS}", "within_bound": within,
+                     "parent_iqr": q3 - q1,
+                     "meets_claim_rule": wins >= CLAIM_WINS and sign * (change - parent) > q3 - q1}
         if not within:
             print(f"breach: {workload} {name} change/parent median {ratio:.3f}, "
                   f"{metric['better']} is better, bound {bound}", file=sys.stderr)
