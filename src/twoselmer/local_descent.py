@@ -100,7 +100,7 @@ def kummer_image(model: FullTwoTorsionModel, d_class: int, place: int) -> tuple[
 
 def _sampled_image(model: FullTwoTorsionModel, d_class: int, place: int) -> tuple[int, ...]:
     """alpha_v from the 2-torsion cocycles and sampled local points, valid at every place."""
-    # the twisted roots, in the order of that identification
+    # the twisted roots, in the order of the E[2] identification above
     rep = representative(place, d_class)
     roots = tuple(rep * e for e in model.roots)
     # dim E'(Q_v)/2E'(Q_v) = width: full rational 2-torsion survives every twist
