@@ -22,7 +22,7 @@ from typing import Iterator
 from . import gf2
 from .curve import FullTwoTorsionModel, sigma_set
 from .errors import BudgetExceeded
-from .padic import _cocycle, _name, _width, local_class, nonresidue, representative
+from .padic import _cocycle, _name, _width, local_class, nonresidue
 from .zarith import valuation
 
 DEFAULT_SAMPLING_BUDGET = 10**5
@@ -99,23 +99,23 @@ def kummer_image(model: FullTwoTorsionModel, d_class: int, place: int) -> tuple[
 
 
 def _sampled_image(model: FullTwoTorsionModel, d_class: int, place: int) -> tuple[int, ...]:
-    """alpha_v from the 2-torsion cocycles and sampled local points, valid at every place."""
-    # the twisted roots, in the order of the E[2] identification above
-    rep = representative(place, d_class)
-    roots = tuple(rep * e for e in model.roots)
+    """alpha_v from sampled local points, seeded with the 2-torsion cocycles at the
+    places of Sigma only: at a good prime it shares no code with the closed form."""
     # dim E'(Q_v)/2E'(Q_v) = width: full rational 2-torsion survives every twist
     target = _width(place)
     span = gf2.Span()
-    basis = [t for t in _torsion_cocycles(model, d_class, place) if span.add(t)]
+    seed = _torsion_cocycles(model, d_class, place) if place in sigma_set(model) else ()
+    basis = [t for t in seed if span.add(t)]
     # at inf they already reach width 1: t1 = 0 makes r1 the largest root, so r2 - r1 < 0 in t2
-    samples = _sample_x(place, roots) if span.dim < target else ()
-    # x - e_i = w_i / q has the class of w_i q, and f(x) that of w1 w2 w3 q
-    e1, e2, e3 = roots
+    samples = _sample_x(place, model.roots) if span.dim < target else ()
+    # u = a/q on the base model, u - e_i = w_i / q of class w_i q: x = rep * u, class(rep) =
+    # d_class, is on the twist iff w1 w2 w3 q has class d_class, and x - rep * e_i adds d_class
+    e1, e2, e3 = model.roots
     for a, q in islice(samples, DEFAULT_SAMPLING_BUDGET):
         w1, w2, w3 = a - e1 * q, a - e2 * q, a - e3 * q
-        if not (w1 and w2 and w3) or local_class(w1 * w2 * w3 * q, place):
+        if not (w1 and w2 and w3) or local_class(w1 * w2 * w3 * q, place) != d_class:
             continue
-        c = _cocycle(w1 * q, w2 * q, place)
+        c = _cocycle(w1 * q, w2 * q, place) ^ d_class ^ d_class << target
         if span.add(c):
             basis.append(c)
             if span.dim == target:

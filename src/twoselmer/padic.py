@@ -79,16 +79,6 @@ def _cocycle(a: int, b: int, place: int) -> int:
     return local_class(a, place) | local_class(b, place) << _width(place)
 
 
-def representative(place: int, c: int) -> int:
-    """A squarefree integer lying in the class c at the place."""
-    if place < 0:
-        return -1 if c else 1
-    n = place if c & 1 else 1
-    if place == 2:
-        return n * (-1 if c & 2 else 1) * (5 if c & 4 else 1)
-    return n * (nonresidue(place) if c & 2 else 1)
-
-
 def hilbert(place: int, a: int, b: int) -> int:
     """Hilbert symbol (a,b)_v: +1 iff z^2 = a x^2 + b y^2 has a Q_v-point."""
     if place < 0:

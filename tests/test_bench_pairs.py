@@ -1,4 +1,4 @@
-"""The claim rule of ``tools/bench_pairs.py``'s ``gate``, fed synthetic runs."""
+"""The claim rule of ``tools/bench_pairs.py``'s ``gate`` and its op counts, fed synthetic runs."""
 
 import importlib.util
 from pathlib import Path
@@ -16,7 +16,8 @@ def runs(tps: list[float], p50: list[float]) -> list[dict]:
     for t, p in zip(tps, p50):
         values = {m["name"]: 1.0 for m in bench_pairs.END_TO_END}
         values.update(twists_per_s=t, p50_ms=p)
-        out.append({"metrics": {name: {"value": v} for name, v in values.items()}})
+        out.append({"metrics": {name: {"value": v} for name, v in values.items()},
+                    "attempted": round(t * 25), "failed": 0})
     return out
 
 
@@ -48,3 +49,15 @@ def test_gate_claim_needs_a_gap_past_the_parent_spread():
     assert g["twists_per_s"]["change_wins"] == "10/10"
     assert g["twists_per_s"]["within_bound"]
     assert not g["twists_per_s"]["meets_claim_rule"]
+
+
+def test_summary_reports_ops_next_to_rss():
+    parent = runs(PARENT_TPS, [1.0] * 10)
+    change = runs([t * 1.2 for t in PARENT_TPS], [1.0] * 10)
+    summary = bench_pairs.workload_summary("rescan", {"parent": parent, "change": change})
+    # 25 s of ops at each run's rate: 2500 ... 2725 ops on the parent side
+    assert summary["parent"]["attempted"] == {"median": 2612.5, "q1": 2556.25, "q3": 2668.75}
+    assert summary["change"]["attempted"]["median"] == 3135
+    assert summary["ops_ratio"] == 3135 / 2612.5
+    assert summary["parent"]["failed"] == summary["change"]["failed"] == 0
+    assert summary["gate"]["twists_per_s"]["change_wins"] == "10/10"

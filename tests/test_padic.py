@@ -14,7 +14,6 @@ from twoselmer.padic import (
     local_pairing,
     nonresidue,
     parse_place,
-    representative,
 )
 from twoselmer.zarith import factorize
 
@@ -171,39 +170,40 @@ def test_local_pairing_nondegenerate():
         assert gf2.rank(gram) == dim
 
 
+# the generators of each place's square classes, bit i on the i-th
+GENERATORS = {
+    REAL_PLACE: [-1],
+    2: [2, -1, 5],
+    7: [7, nonresidue(7)],
+    13: [13, nonresidue(13)],
+}
+
+
+def element(place, n):
+    """The product of the generators that the bits of n select."""
+    r = 1
+    for i, g in enumerate(GENERATORS[place]):
+        if (n >> i) & 1:
+            r *= g
+    return r
+
+
 def test_class_encoding_round_trip():
     # bit i of a class is the coordinate on the i-th generator of the layout
-    generators = {
-        REAL_PLACE: [-1],
-        2: [2, -1, 5],
-        7: [7, nonresidue(7)],
-        13: [13, nonresidue(13)],
-    }
-    for place, gens in generators.items():
+    for place, gens in GENERATORS.items():
         assert len(gens) == _width(place)
         for n in range(1 << _width(place)):
-            r = 1
-            for i, g in enumerate(gens):
-                if (n >> i) & 1:
-                    r *= g
-            assert local_class(r, place) == n
+            assert local_class(element(place, n), place) == n
 
 
 def test_cocycle_encoding_round_trip():
     # a cocycle packs (first, second) as first | second << width
-    for place in (REAL_PLACE, 3, 2):
+    for place in GENERATORS:
         k = _width(place)
         for n in range(1 << 2 * k):
             first, second = n & ((1 << k) - 1), n >> k
             assert first | second << k == n
-            pair = (representative(place, first), representative(place, second))
-            assert _cocycle(*pair, place) == n
-
-
-def test_representative_round_trip():
-    for place in (REAL_PLACE, 2, 3, 13):
-        for c in range(1 << _width(place)):
-            assert local_class(representative(place, c), place) == c
+            assert _cocycle(element(place, first), element(place, second), place) == n
 
 
 # Property tests over the int form; every run draws the same examples.
@@ -216,13 +216,6 @@ rationals = st.builds(Fraction, nonzero, st.integers(1, 10**4))
 @given(a=rationals, b=rationals, place=st.sampled_from(PLACES))
 def test_local_class_is_multiplicative(a, b, place):
     assert local_class(a * b, place) == local_class(a, place) ^ local_class(b, place)
-
-
-@settings(derandomized, max_examples=100)
-@given(place=st.sampled_from(PLACES + [p for p in (7, 11, 10007)]), data=st.data())
-def test_representative_lies_in_its_class(place, data):
-    c = data.draw(st.integers(0, (1 << _width(place)) - 1))
-    assert local_class(representative(place, c), place) == c
 
 
 @settings(derandomized, max_examples=300)

@@ -12,7 +12,11 @@ change first.  Each run is ``python3 bench/run.py --workload W --seed 1
 --seconds 25 --trace 0`` (the benchmark's own command) and its last stdout
 line is kept.  Then each side runs the workload once with ``--trace 1`` for
 the per-layer counts.  The file holds every run, and per workload and side
-the median and quartiles of each end-to-end metric and the failed ops.
+the median and quartiles of each end-to-end metric and of the ops attempted
+(``attempted``), and the failed ops; ``ops_ratio`` is the change/parent ratio
+of median ``attempted``.  The harness keeps one latency per op, so a
+``peak_rss_mb`` rise that tracks ``ops_ratio`` is the harness's, not the
+engine's.
 Under ``gate`` it holds, for each end-to-end metric that ``BENCHMARK.json``
 declares, the change/parent median ratio, on how many pairs the change won in
 the metric's ``better`` direction, whether the change's median is within the
@@ -98,14 +102,25 @@ def change_label() -> str:
     return git("rev-parse", "HEAD") + (" with uncommitted changes" if dirty else "")
 
 
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
 def summarize(results: list[dict]) -> dict:
-    out: dict = {}
-    for name in results[0]["metrics"]:
-        values = [r["metrics"][name]["value"] for r in results]
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        out[name] = {"median": median, "q1": q1, "q3": q3}
+    out = {name: quartiles([r["metrics"][name]["value"] for r in results])
+           for name in results[0]["metrics"]}
+    out["attempted"] = quartiles([r["attempted"] for r in results])
     out["failed"] = sum(r["failed"] for r in results)
     return out
+
+
+def workload_summary(workload: str, by_side: dict[str, list[dict]]) -> dict:
+    """Each side's summary, the change/parent ratio of median ops, and the gate."""
+    sides = {s: summarize(runs) for s, runs in by_side.items()}
+    ops = {s: summary["attempted"]["median"] for s, summary in sides.items()}
+    return {**sides, "ops_ratio": ops["change"] / ops["parent"],
+            "gate": gate(workload, by_side)}
 
 
 def gate(workload: str, by_side: dict[str, list[dict]]) -> dict:
@@ -165,10 +180,7 @@ def main(argv=None) -> int:
                     print(f"{w} pair {pair} {side}: {tps:.1f} twists/s, "
                           f"{result['failed']} failed", file=sys.stderr)
             by_side = {s: [r["result"] for r in runs if r["side"] == s] for s in roots}
-            doc["summary"][w] = {
-                **{s: summarize(by_side[s]) for s in roots},
-                "gate": gate(w, by_side),
-            }
+            doc["summary"][w] = workload_summary(w, by_side)
             doc["runs"][w] = runs
             doc[f"traced_{w}"] = {
                 "command": f"python3 bench/run.py --workload {w} --seed {SEED} "
