@@ -16,7 +16,7 @@ depend on the image alone.  h_v is read from one rank.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import count, islice
 from typing import Iterator
 
 from . import gf2
@@ -37,12 +37,10 @@ def _torsion_cocycles(model: FullTwoTorsionModel, d_class: int, place: int) -> t
             _cocycle(e2 - e1, (e2 - e1) * (e2 - e3), place) ^ d_class)
 
 
-def _sample_x(p: int, roots: tuple[int, int, int]) -> Iterator[tuple[int, int]]:
-    """Deterministic stream of x-values dense enough in Q_p, p a prime.
-
-    Each sample x = a/q is the integer pair (a, q) with q > 0: the class of
-    a/b is the class of ab, so the caller never builds a rational.
-    """
+def _sample_x(p: int, roots: tuple[int, int, int]) -> Iterator[int]:
+    """Deterministic stream of integers x dense enough in Z_p, p a prime.  Points near O add
+    nothing: at an odd p they lie in E_1(Q_p), a pro-p group; at 2, adding (e_i, 0) moves one
+    next to e_i, onto the ladder, and adds a torsion cocycle (Silverman X.1.4, VII.2)."""
     # near-root ladder: x = r + t * p^m with t hitting both residue signs,
     # climbing past the deepest root difference
     r1, r2, r3 = roots
@@ -58,19 +56,12 @@ def _sample_x(p: int, roots: tuple[int, int, int]) -> Iterator[tuple[int, int]]:
         pm = p**m
         for r in roots:
             for t in ts:
-                yield r + t * pm, 1
-                yield r - t * pm, 1
-    # integers covering all residues, interleaved with denominator ladders
-    denoms = [p ** (2 * j) for j in range(1, 4)]
-    a = 1
-    while True:
-        yield a, 1
-        yield -a, 1
-        for q in denoms:
-            if a % p:
-                yield a, q
-                yield -a, q
-        a += 1
+                yield r + t * pm
+                yield r - t * pm
+    # integers covering all residues
+    for a in count(1):
+        yield a
+        yield -a
 
 
 _image_cache: dict[tuple, tuple[int, ...]] = {}
@@ -108,14 +99,14 @@ def _sampled_image(model: FullTwoTorsionModel, d_class: int, place: int) -> tupl
     basis = [t for t in seed if span.add(t)]
     # at inf they already reach width 1: t1 = 0 makes r1 the largest root, so r2 - r1 < 0 in t2
     samples = _sample_x(place, model.roots) if span.dim < target else ()
-    # u = a/q on the base model, u - e_i = w_i / q of class w_i q: x = rep * u, class(rep) =
-    # d_class, is on the twist iff w1 w2 w3 q has class d_class, and x - rep * e_i adds d_class
+    # x on the base model: rep * x, class(rep) = d_class, is on the twist iff
+    # w1 w2 w3 = f(x) has class d_class, and rep * x - rep * e_i adds d_class to w_i
     e1, e2, e3 = model.roots
-    for a, q in islice(samples, DEFAULT_SAMPLING_BUDGET):
-        w1, w2, w3 = a - e1 * q, a - e2 * q, a - e3 * q
-        if not (w1 and w2 and w3) or local_class(w1 * w2 * w3 * q, place) != d_class:
+    for x in islice(samples, DEFAULT_SAMPLING_BUDGET):
+        w1, w2, w3 = x - e1, x - e2, x - e3
+        if not (w1 and w2 and w3) or local_class(w1 * w2 * w3, place) != d_class:
             continue
-        c = _cocycle(w1 * q, w2 * q, place) ^ d_class ^ d_class << target
+        c = _cocycle(w1, w2, place) ^ d_class ^ d_class << target
         if span.add(c):
             basis.append(c)
             if span.dim == target:

@@ -1,12 +1,34 @@
-"""The claim rule of ``tools/bench_pairs.py``'s ``gate`` and its op counts, fed synthetic runs."""
+"""``tools/bench_pairs.py``: the claim rule of its ``gate`` and its op counts, fed
+synthetic runs, and its exports and runs, in a throwaway checkout with a stand-in
+``bench/run.py``."""
 
 import importlib.util
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
-bench_pairs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_pairs)
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "bench_pairs.py"
+
+
+def load(path: Path):
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = load(TOOL)
+# a git that reads no user configuration and can commit
+GIT_ENV = {"GIT_CONFIG_GLOBAL": os.devnull, "GIT_CONFIG_NOSYSTEM": "1",
+           "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@example.org",
+           "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@example.org"}
 
 PARENT_TPS = [100.0 + i for i in range(10)]  # quartiles 102.25 and 106.75
 
@@ -61,3 +83,89 @@ def test_summary_reports_ops_next_to_rss():
     assert summary["ops_ratio"] == 3135 / 2612.5
     assert summary["parent"]["failed"] == summary["change"]["failed"] == 0
     assert summary["gate"]["twists_per_s"]["change_wins"] == "10/10"
+
+
+def checkout(tmp_path: Path, run_py: str) -> Path:
+    """A git checkout holding the tool, BENCHMARK.json, src/mod.py and run_py as bench/run.py."""
+    repo = tmp_path / "repo"
+    (repo / "tools").mkdir(parents=True)
+    (repo / "bench").mkdir()
+    (repo / "src").mkdir()
+    shutil.copy(TOOL, repo / "tools")
+    shutil.copy(ROOT / "BENCHMARK.json", repo)
+    (repo / "bench" / "run.py").write_text(run_py)
+    (repo / "src" / "mod.py").write_text("VALUE = 1\n")
+    env = {**os.environ, **GIT_ENV}
+    for argv in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "checkout"]):
+        subprocess.run(["git", *argv], cwd=repo, env=env, check=True)
+    return repo
+
+
+REPORTING_RUN = """import json, sys
+sys.path.insert(0, "src")
+import mod
+print(json.dumps({"value": mod.VALUE, "dont_write_bytecode": sys.flags.dont_write_bytecode}))
+"""
+
+
+def test_change_side_is_a_bytecode_free_export_of_the_tracked_files(tmp_path, monkeypatch):
+    for name, value in GIT_ENV.items():
+        monkeypatch.setenv(name, value)
+    repo = checkout(tmp_path, REPORTING_RUN)
+    tool = load(repo / "tools" / "bench_pairs.py")
+    assert tool.worktree_ref() == "HEAD"
+    head = tool.change_label()
+    (repo / "src" / "mod.py").write_text("VALUE = 2\n")
+    (repo / "src" / "untracked.py").write_text("")
+    (repo / "src" / "__pycache__").mkdir()
+    assert tool.change_label() == head + " with uncommitted changes"
+    dest = tmp_path / "change"
+    tool.export(tool.worktree_ref(), dest)
+    assert sorted(p.relative_to(dest).as_posix() for p in dest.rglob("*.py")) == [
+        "bench/run.py", "src/mod.py", "tools/bench_pairs.py"]
+    assert not list(dest.rglob("__pycache__"))
+    assert tool.bench(dest, "scan", 0) == {"value": 2, "dont_write_bytecode": 1}
+    assert not list(dest.rglob("__pycache__"))
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+def test_stopped_run_ends_its_child_and_removes_its_exports(tmp_path, signum):
+    started = tmp_path / "started"
+    repo = checkout(tmp_path, f"""import os, time
+with open({str(started) + ".tmp"!r}, "w") as fh:
+    fh.write(str(os.getpid()))
+os.replace({str(started) + ".tmp"!r}, {str(started)!r})
+time.sleep(60)
+""")
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    proc = subprocess.Popen(
+        [sys.executable, "tools/bench_pairs.py", "--parent", "HEAD", "--out", "x.json"],
+        cwd=repo, env={**os.environ, **GIT_ENV, "TMPDIR": str(temp)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    child = None
+    try:
+        deadline = time.monotonic() + 60
+        while not started.exists() and time.monotonic() < deadline and proc.poll() is None:
+            time.sleep(0.05)
+        child = int(started.read_text())
+        assert list(temp.iterdir())
+        proc.send_signal(signum)
+        _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 1
+        assert err == f"stopped by {signum.name}\n"
+        assert not list(temp.iterdir())
+        try:
+            os.kill(child, 0)
+            alive = True
+        except ProcessLookupError:
+            alive = False
+        assert not alive
+    finally:
+        proc.kill()
+        proc.wait()
+        if child is not None:
+            try:
+                os.kill(child, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

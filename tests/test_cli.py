@@ -541,3 +541,64 @@ def test_bound_rejects_malformed_summary(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     assert main(["bound", "--summary", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value, product, bits", [
+    ("trivial", "1", [0, 0]),
+    # a/b has the class of ab
+    ("2/3", "6", [0, 0]),
+    ("2/5", "10", [1, 1]),
+])
+def test_descent_mask_values(capsys, value, product, bits):
+    code, out = run(capsys, "descent", "--curve=0,1,5", "--mask", f"5={value}")
+    assert code == 0
+    assert last_json(out)["masks"] == {"5": bits}
+    assert run(capsys, "descent", "--curve=0,1,5", "--mask", f"5={product}") == (0, out)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--curve=-1,0,1", "--mask", "5=sign"], "'sign' only makes sense at inf"),
+    (["--curve=[1,2,3"], "malformed long model: '[1,2,3'"),
+    (["--curve=[1,2,3]"], "long model needs exactly [a1,a2,a3,a4,a6]"),
+    (["--curve=1,2"], "full 2-torsion curve needs exactly e1,e2,e3"),
+])
+def test_descent_input_errors(capsys, argv, message):
+    assert main(["descent", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_scan_counts_parity_failures(tmp_path, capsys, monkeypatch):
+    import twoselmer.twist_lab
+
+    # one more at 2 flips the parity sum of each twist with a non-trivial class there
+    h_v = twoselmer.twist_lab.h_v
+    monkeypatch.setattr(twoselmer.twist_lab, "h_v", lambda m, c, v: h_v(m, c, v) + (v == 2))
+    out = tmp_path / "s"
+    code, text = run(capsys, "scan", "--curve=-1,0,1", "--bound=10", f"--out={out}")
+    assert code == 2
+    records = [json.loads(ln) for ln in (out / "records.jsonl").read_text().splitlines()]
+    failed = sum(r["parity_lhs"] != r["parity_rhs"] for r in records)
+    assert (len(records), failed) == (14, 12)
+    summary = (out / "summary.json").read_text()
+    assert summary == text
+    assert json.loads(summary)["parity_failures"] == 12
+
+
+def test_verify_duality_reports_a_counterexample(capsys, monkeypatch, m101):
+    import twoselmer.selmer
+
+    # a pairing that is 1 everywhere breaks orthogonality for every odd-sized T
+    monkeypatch.setattr(twoselmer.selmer, "local_pairing", lambda v, a, b: 1)
+    ok, report = duality_check(m101, frozenset({5}))
+    assert not ok and report["gap_ok"] and not report["orthogonal"]
+    assert report["counterexample"] == {"x": [2, 1], "y": [2, 1]}
+    code, out = run(capsys, "verify", "duality", "--curve=-1,0,1", "--trials=4", "--seed=1")
+    assert code == 2
+    doc = last_json(out)
+    assert doc["passed"] == 2
+    assert [(f["T"], f["counterexample"]) for f in doc["failures"]] == [
+        (["inf"], {"x": [2, 1], "y": [2, 1]}),
+        (["13"], {"x": [2, 1], "y": [2, 1]}),
+    ]

@@ -1,11 +1,15 @@
 import itertools
 import random
+from fractions import Fraction
+from math import prod
 
 import pytest
+from test_padic import fraction_class
 
 import twoselmer.local_descent
 import twoselmer.twist_lab
 from twoselmer import gf2
+from twoselmer.cli import main
 from twoselmer.curve import FullTwoTorsionModel, sigma_set
 from twoselmer.errors import BudgetExceeded
 from twoselmer.local_descent import (
@@ -26,7 +30,7 @@ from twoselmer.padic import (
     local_pairing,
 )
 from twoselmer.twist_lab import scan_records
-from twoselmer.zarith import odd_primes
+from twoselmer.zarith import odd_primes, valuation
 
 SIGN = 1  # the nontrivial class at the real place
 
@@ -163,7 +167,7 @@ def multiplied_image(model, d_class, place, budget=10**5):
     # points x = rep * u of the twist, u = a/q sampled on the base model: the right
     # cocycle shifts _cocycle(w1 q, w2 q) by the twist class, and push shifts it back
     e1, e2, e3 = model.roots
-    xs = real_x() if place == REAL_PLACE else _sample_x(place, model.roots)
+    xs = real_x() if place == REAL_PLACE else ((x, 1) for x in _sample_x(place, model.roots))
     for a, q in itertools.islice(xs, budget):
         w1, w2, w3 = a - e1 * q, a - e2 * q, a - e3 * q
         if w1 and w2 and w3 and local_class(w1 * w2 * w3 * q, place) == d_class:
@@ -288,3 +292,44 @@ def test_sampler_runs_only_at_sigma(m015, monkeypatch):
     assert h_places == set(sigma)
     # each (place, class) of Sigma at most once: 2 + 8 + 4 images
     assert len(seen) == len(set(seen)) <= sum(1 << _width(v) for v in sigma)
+
+
+def test_points_near_o_lie_next_to_a_root_after_a_torsion_shift(corpus):
+    # the reason the sampler draws integers only: a point P of E(Q_p) with
+    # x = a/p^(2j) plus T_i = (e_i, 0) has x' = e_i + (e_i-e_j)(e_i-e_k)/(x-e_i),
+    # deep next to e_i, and its cocycle is P's plus the torsion cocycle of T_i
+    def v(r, p):
+        return valuation(r.numerator, p) - valuation(r.denominator, p)
+
+    def cocycle(x, m, p):
+        e1, e2, _ = m.roots
+        return fraction_class(x - e1, p) | fraction_class(x - e2, p) << _width(p)
+
+    curves = [*corpus, FullTwoTorsionModel((-7, 1, 20)), FullTwoTorsionModel((-112, 16, 320))]
+    cases = 0
+    for m, p, j in itertools.product(curves, (2, 3, 5), (1, 2, 3)):
+        torsion = _torsion_cocycles(m, 0, p)
+        for a in range(-60, 61):
+            x = Fraction(a, p ** (2 * j))
+            if a % p == 0 or fraction_class(prod(x - e for e in m.roots), p) != 0:
+                continue
+            for i in (0, 1):
+                ei, ej, ek = m.roots[i], *(e for e in m.roots if e != m.roots[i])
+                shifted = ei + Fraction((ei - ej) * (ei - ek)) / (x - ei)
+                assert v(shifted - ei, p) == valuation((ei - ej) * (ei - ek), p) + 2 * j
+                assert cocycle(shifted, m, p) == cocycle(x, m, p) ^ torsion[i], (m.roots, p, x, i)
+                cases += 1
+    assert cases > 3000
+
+
+def test_exhausted_sampling_budget_is_loud(m101, monkeypatch, capsys):
+    monkeypatch.setattr(twoselmer.local_descent, "DEFAULT_SAMPLING_BUDGET", 0)
+    monkeypatch.setattr(twoselmer.local_descent, "_image_cache", {})
+    # at 2 the two torsion cocycles are all that is left of a width-3 image
+    with pytest.raises(BudgetExceeded) as exc:
+        kummer_image(m101, 5, 2)
+    assert str(exc.value) == "kummer image at 2 for class 5 stuck at dim 2 < 3"
+    assert main(["descent", "--curve=0,1,5", "--twist=3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exhausted: kummer image at 2 for class 6 stuck at dim 2 < 3\n"

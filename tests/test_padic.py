@@ -242,7 +242,7 @@ def test_local_class_matches_fraction_reference(r, place):
     place=st.sampled_from(PLACES),
 )
 def test_sampler_identity_matches_fraction_reference(a, j, e, place):
-    # a sample x = a/q with q a power of the place's prime (2 at infinity):
+    # x = a/q with q a power of the place's prime (2 at infinity):
     # x - e has the class of (a - e q) q
     q = (2 if place == REAL_PLACE else place) ** j
     w = a - e * q

@@ -4,6 +4,8 @@ from math import isqrt
 
 import pytest
 
+import twoselmer.zarith
+from twoselmer.cli import main
 from twoselmer.errors import BudgetExceeded
 from twoselmer.padic import local_class
 from twoselmer.zarith import (
@@ -233,3 +235,13 @@ def test_is_squarefree():
     assert not is_squarefree(12)
     assert not is_squarefree(-49)
     assert not is_squarefree(0)
+
+
+def test_rho_budget_exhaustion(monkeypatch, capsys):
+    n = 1000003 * 1000033  # no prime factor below 41: rho must split it
+    monkeypatch.setattr(twoselmer.zarith, "DEFAULT_RHO_BUDGET", 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        factorize(-2 * n)
+    assert str(exc.value) == f"pollard rho budget exhausted on {n}"
+    assert main(["descent", "--curve=-1,0,1", f"--twist={n}"]) == 3
+    assert capsys.readouterr().err == f"budget exhausted: pollard rho budget exhausted on {n}\n"

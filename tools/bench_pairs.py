@@ -3,20 +3,21 @@
 Usage:
   python3 tools/bench_pairs.py --parent REF --out BENCH_x.json
 
-The parent side is an export of the git ref REF (``git archive``) into a
-temporary directory; the change side is this checkout's working tree, named
-in the file by its commit id (marked when tracked files have uncommitted
-changes).  For each of the workloads scan, rescan and query the script runs
-10 pairs, one run at a time: odd pairs run the parent first, even pairs the
-change first.  Each run is ``python3 bench/run.py --workload W --seed 1
---seconds 25 --trace 0`` (the benchmark's own command) and its last stdout
-line is kept.  Then each side runs the workload once with ``--trace 1`` for
-the per-layer counts.  The file holds every run, and per workload and side
-the median and quartiles of each end-to-end metric and of the ops attempted
-(``attempted``), and the failed ops; ``ops_ratio`` is the change/parent ratio
-of median ``attempted``.  The harness keeps one latency per op, so a
-``peak_rss_mb`` rise that tracks ``ops_ratio`` is the harness's, not the
-engine's.
+Both sides are ``git archive`` exports into one temporary directory: the
+parent side of the git ref REF, the change side of this checkout's tracked
+files as they stand (``git stash create``, or HEAD when nothing is changed).
+Untracked files are not exported.  The change side is named in the file by
+its commit id (marked when tracked files have uncommitted changes).  For each
+of the workloads scan, rescan and query the script runs 10 pairs, one run at
+a time: odd pairs run the parent first, even pairs the change first.  Each
+run is ``python3 bench/run.py --workload W --seed 1 --seconds 25 --trace 0``
+(the benchmark's own command) and its last stdout line is kept.  Then each
+side runs the workload once with ``--trace 1`` for the per-layer counts.
+The file holds every run, and per workload and side the median and
+quartiles of each end-to-end metric and of the ops attempted (``attempted``),
+and the failed ops; ``ops_ratio`` is the change/parent ratio of median
+``attempted``.  The harness keeps one latency per op, so a ``peak_rss_mb``
+rise that tracks ``ops_ratio`` is the harness's, not the engine's.
 Under ``gate`` it holds, for each end-to-end metric that ``BENCHMARK.json``
 declares, the change/parent median ratio, on how many pairs the change won in
 the metric's ``better`` direction, whether the change's median is within the
@@ -27,20 +28,23 @@ parent's by more than ``parent_iqr``, the rule a claimed gain must meet.
 ``src_lines`` gives each side's ``wc -l src/twoselmer/*.py`` total, the design
 metric.
 
-Before the first pair, ``python3 -m compileall -q src`` runs in both trees, so
-that both import from bytecode and ``setup_s`` compares like with like: a fresh
-export has no ``__pycache__``, and with ``PYTHONDONTWRITEBYTECODE=1`` set the
-parent would otherwise compile every module on each import.  ``compileall``
-writes the bytecode even when that variable is set.
+Every run has ``PYTHONDONTWRITEBYTECODE=1`` set, and neither export has a
+``__pycache__``, so each side compiles ``src`` on every import, as a fresh
+checkout does: ``setup_s`` compares like with like, and BENCH files written
+before this rule compared bytecode imports.  Each run starts in a session of
+its own.  On SIGTERM or Ctrl-C the script kills the running one with its
+children, removes both exports and exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -60,10 +64,19 @@ SECONDS = 25
 def bench(root: Path, workload: str, trace: int) -> dict:
     argv = ["python3", "bench/run.py", f"--workload={workload}", f"--seed={SEED}",
             f"--seconds={SECONDS}", f"--trace={trace}"]
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=False)
-    lines = proc.stdout.strip().splitlines()
+    with subprocess.Popen(argv, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+                          start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate()
+        except BaseException:
+            # the run's session: bench/run.py and the scan children it started
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    lines = stdout.strip().splitlines()
     if not lines:
-        raise RuntimeError(f"{' '.join(argv)} in {root} printed nothing: {proc.stderr}")
+        raise RuntimeError(f"{' '.join(argv)} in {root} printed nothing: {stderr}")
     return json.loads(lines[-1])
 
 
@@ -100,6 +113,15 @@ def change_label() -> str:
     """This checkout's commit id, marked when tracked files differ from it."""
     dirty = git("status", "--porcelain", "--untracked-files=no")
     return git("rev-parse", "HEAD") + (" with uncommitted changes" if dirty else "")
+
+
+def worktree_ref() -> str:
+    """A commit of the tracked files as they stand, for ``export``."""
+    return git("stash", "create") or "HEAD"
+
+
+def stop(signum, frame):
+    raise SystemExit(f"stopped by {signal.Signals(signum).name}")
 
 
 def quartiles(values: list[float]) -> dict:
@@ -151,12 +173,13 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True, help="the BENCH JSON file to write")
     args = p.parse_args(argv)
 
+    # the exits unwind through the runs and the temporary directory
+    signal.signal(signal.SIGTERM, stop)
+    signal.signal(signal.SIGINT, stop)
     with tempfile.TemporaryDirectory() as tmp:
-        parent_root = Path(tmp)
-        sha = export(args.parent, parent_root)
-        roots = {"parent": parent_root, "change": ROOT}
-        for root in roots.values():
-            subprocess.run(["python3", "-m", "compileall", "-q", "src"], cwd=root, check=True)
+        roots = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        sha = export(args.parent, roots["parent"])
+        export(worktree_ref(), roots["change"])
         doc = {
             "command": f"python3 bench/run.py --workload W --seed {SEED} "
                        f"--seconds {SECONDS} --trace 0",
