@@ -2,6 +2,7 @@
 synthetic runs, and its exports and runs, in a throwaway checkout with a stand-in
 ``bench/run.py``."""
 
+import contextlib
 import importlib.util
 import os
 import shutil
@@ -128,8 +129,8 @@ def test_change_side_is_a_bytecode_free_export_of_the_tracked_files(tmp_path, mo
     assert not list(dest.rglob("__pycache__"))
 
 
-@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
-def test_stopped_run_ends_its_child_and_removes_its_exports(tmp_path, signum):
+@pytest.mark.parametrize("name", ["SIGTERM", "SIGINT"])
+def test_stopped_run_ends_its_child_and_removes_its_exports(tmp_path, name):
     started = tmp_path / "started"
     repo = checkout(tmp_path, f"""import os, time
 with open({str(started) + ".tmp"!r}, "w") as fh:
@@ -150,22 +151,16 @@ time.sleep(60)
             time.sleep(0.05)
         child = int(started.read_text())
         assert list(temp.iterdir())
-        proc.send_signal(signum)
+        proc.send_signal(signal.Signals[name])
         _, err = proc.communicate(timeout=30)
         assert proc.returncode == 1
-        assert err == f"stopped by {signum.name}\n"
+        assert err == f"stopped by {name}\n"
         assert not list(temp.iterdir())
-        try:
+        with pytest.raises(ProcessLookupError):
             os.kill(child, 0)
-            alive = True
-        except ProcessLookupError:
-            alive = False
-        assert not alive
     finally:
         proc.kill()
         proc.wait()
         if child is not None:
-            try:
+            with contextlib.suppress(ProcessLookupError):
                 os.kill(child, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
