@@ -169,7 +169,10 @@ def _random_class(rng: random.Random, place: int) -> int:
 
 def _random_good_prime(rng: random.Random, model: FullTwoTorsionModel) -> int:
     bad = sigma_set(model)
-    return rng.choice([p for p in range(3, 200) if is_prime(p) and p not in bad])
+    good = [p for p in range(3, 200) if is_prime(p) and p not in bad]
+    if not good:
+        raise ValueError(f"no good prime below 200 is left: Sigma of {model} holds every one")
+    return rng.choice(good)
 
 
 def run_verify_suite(model: FullTwoTorsionModel, suite: str, trials: int, seed: int) -> dict:
@@ -284,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="2-Selmer ranks of quadratic twists of curves with full rational 2-torsion",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its subparser, for main's one pass
 
     p = sub.add_parser("descent", help="compute a (masked) 2-Selmer group")
     p.add_argument("--curve", required=True)
@@ -315,15 +319,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    # a known command's own subparser alone; other argv, or leftovers, meet the top-level parser
+    sub = parser.commands.get(argv[0]) if argv else None
     try:
-        args = build_parser().parse_args(argv)
+        args, rest = sub.parse_known_args(argv[1:]) if sub else (None, None)
+        if sub is None or rest:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     # read from the module now, not when the cached parser was built, so a wrapped command runs
     commands = {"descent": cmd_descent, "scan": cmd_scan, "verify": cmd_verify,
                 "search": cmd_search, "bound": cmd_bound}
     try:
-        return commands[args.command](args)
+        return commands[argv[0]](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,12 +10,13 @@ the 2-torsion cocycles are extended by images of sampled local points until
 the known a-priori dimension is reached, so the basis is certified and its
 length is the dimension.  Images are cached per (model, place, twist
 class), since a twist's local conditions depend only on its local square
-class, and each image's check rows per (image, width), since the rows
+class, and each image's check rows (per width) and span, since both
 depend on the image alone.  h_v is read from one rank.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import count, islice
 from typing import Iterator
 
@@ -67,6 +68,8 @@ def _sample_x(p: int, roots: tuple[int, int, int]) -> Iterator[int]:
 _image_cache: dict[tuple, tuple[int, ...]] = {}
 # check rows per (image, width): a few dozen distinct images cover every twist
 _check_cache: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+# the span of each condition, built from its basis, for selmer's pointwise check
+_condition_span = cache(gf2.Span)
 
 # the unit cocycles (u, 1) and (1, u), u a non-residue: the unramified image
 _UNRAMIFIED = (0b10, 0b10 << 2)
@@ -139,3 +142,4 @@ def h_v(model: FullTwoTorsionModel, d_class: int, place: int) -> int:
 def clear_image_cache() -> None:
     _image_cache.clear()
     _check_cache.clear()
+    _condition_span.cache_clear()

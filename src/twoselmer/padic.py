@@ -62,16 +62,18 @@ def nonresidue(p: int) -> int:
 
 def local_class(r: Rational, place: int) -> int:
     """Image of a nonzero rational in Q_v^x / (Q_v^x)^2: the class of a/b is that of ab."""
-    n = r.numerator * r.denominator
+    n = r if type(r) is int else r.numerator * r.denominator
     if n == 0:
         raise ValueError("0 has no square class")
     if place < 0:
         return 1 if n < 0 else 0
-    v = valuation(n, place)
-    u = n // place**v
     if place == 2:
-        return (v & 1) | _MOD8_BITS[u % 8]
-    return (v & 1) | (0 if legendre(u, place) == 1 else 2)
+        v = (n & -n).bit_length() - 1
+        return (v & 1) | _MOD8_BITS[(n >> v) % 8]
+    if n % place:
+        return 0 if legendre(n, place) == 1 else 2
+    v = valuation(n, place)
+    return (v & 1) | (0 if legendre(n // place**v, place) == 1 else 2)
 
 
 def _cocycle(a: int, b: int, place: int) -> int:

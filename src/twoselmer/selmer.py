@@ -19,7 +19,7 @@ from itertools import islice
 from . import gf2
 from .curve import FullTwoTorsionModel, sigma_set
 from .errors import BudgetExceeded, SoundnessAlarm
-from .local_descent import image_checks, kummer_image
+from .local_descent import _condition_span, image_checks, kummer_image
 from .padic import _cocycle, _name, _width, local_class, local_pairing
 from .zarith import legendre, odd_primes
 
@@ -37,14 +37,18 @@ def _value(generators: tuple[int, ...], bits: int) -> int:
 class SelmerResult:
     """The kernel vectors of a Selmer computation over Sigma' (mutable)."""
 
-    __slots__ = ("dim", "basis", "sigma_prime")
+    __slots__ = ("dim", "basis", "sigma_prime", "_values")
 
     def __init__(self, dim: int, basis: list[int], sigma_prime: tuple[int, ...]) -> None:
         self.dim, self.basis, self.sigma_prime = dim, basis, sigma_prime
+        self._values: list[tuple[int, int]] | None = None
 
     def basis_values(self) -> list[tuple[int, int]]:
-        gens = self.sigma_prime
-        return [(_value(gens, vec), _value(gens, vec >> len(gens))) for vec in self.basis]
+        """The basis as (d1, d2) pairs, decoded at the first call; later calls share the list."""
+        if self._values is None:
+            gens = self.sigma_prime
+            self._values = [(_value(gens, v), _value(gens, v >> len(gens))) for v in self.basis]
+        return self._values
 
     def to_record(self, model: FullTwoTorsionModel, masks: dict[int, int]) -> dict:
         return {
@@ -83,8 +87,12 @@ def selmer_group(
         else:
             condition = kummer_image(model, masks.get(v, 0), v)
         # restriction at v, one row per cocycle bit over the 2m generator coordinates
-        loc = [local_class(g, v) for g in places]
-        res = [sum(((c >> i) & 1) << j for j, c in enumerate(loc)) for i in range(k)]
+        res = [0] * k
+        for j, g in enumerate(places):
+            c = local_class(g, v)
+            for i in range(k):
+                if (c >> i) & 1:
+                    res[i] |= 1 << j
         res += [r << m for r in res]
         # each check annihilates the condition under the bit-dot pairing
         for h in image_checks(condition, v):
@@ -104,7 +112,7 @@ def selmer_group(
 
 
 def _verify_pointwise(result: SelmerResult, conditions) -> None:
-    spans = [(v, gf2.Span(condition)) for v, condition in conditions]
+    spans = [(v, _condition_span(condition)) for v, condition in conditions]
     for a, b in result.basis_values():
         for v, span in spans:
             if not span.contains(_cocycle(a, b, v)):

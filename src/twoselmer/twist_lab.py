@@ -105,19 +105,12 @@ def find_plus_one(model: FullTwoTorsionModel, budget: int = DEFAULT_PRIME_BUDGET
     sign_mask = {REAL_PLACE: 1}
     masked = selmer_group(model, sign_mask).dim
     if masked != r_before - 1:
-        raise SoundnessAlarm(
-            f"sign-masked rank {masked} != r - 1 = {r_before - 1}"
-        )
+        raise SoundnessAlarm(f"sign-masked rank {masked} != r - 1 = {r_before - 1}")
     # endless: character_candidates raises BudgetExceeded past its budget
     for d in character_candidates(model, sign_mask, budget):
         r_after = rank_of_twist(model, d)
         if r_after == r_before + 1:
-            return {
-                "d": d,
-                "r_before": r_before,
-                "r_after": r_after,
-                "masked_rank": masked,
-            }
+            return {"d": d, "r_before": r_before, "r_after": r_after, "masked_rank": masked}
 
 
 def squarefree_twists(bound: int, after: int = 0) -> Iterator[int]:

@@ -1,7 +1,8 @@
 """Exact integer arithmetic primitives.
 
-Factorization (by the small primes, then Pollard rho), the stream of odd
-primes, p-adic valuations, Legendre symbols and squarefree parts.
+Factorization (one gcd with the product of the primes below 1000, then
+Pollard rho past 1009^2), the stream of odd primes, p-adic valuations,
+Legendre symbols and squarefree parts.
 Every function takes integers only: a square class never needs a rational,
 since the class of a/b is the class of ab.  All arithmetic is exact;
 nothing in this package touches floats.
@@ -9,13 +10,13 @@ nothing in this package touches floats.
 
 from __future__ import annotations
 
-from itertools import count
-from math import gcd
+from itertools import compress, count
+from math import gcd, prod
 from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceeded
 
-# The primes up to 41: trial divisors of is_prime and factorize, and the
+# The primes up to 41: trial divisors of is_prime, and the
 # Miller–Rabin bases.  psi_k, the smallest strong pseudoprime to the first k
 # bases (OEIS A014233; Jaeschke 1993, Sorenson-Webster 2017), bounds the n
 # that k bases decide; _MR_BOUND is psi_13.
@@ -27,6 +28,12 @@ _PSI = (
     3_825_123_056_546_413_051, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
     _MR_BOUND,
 )
+# factorize's trial primes, the primes below 1000 (sieved), as a tuple, a set and a product
+_SIEVE = bytearray([0, 0]) + bytearray([1]) * 998
+for _p in range(2, 32):
+    _SIEVE[_p * _p::_p] = bytes(len(range(_p * _p, 1000, _p)))
+_TRIAL_PRIMES = tuple(compress(range(1000), _SIEVE))
+_TRIAL_SET, _TRIAL_PRODUCT = frozenset(_TRIAL_PRIMES), prod(_TRIAL_PRIMES)
 
 DEFAULT_RHO_BUDGET = 10**7
 
@@ -98,28 +105,34 @@ def factorize(n: int) -> FactoredInteger:
     """Factor a nonzero integer; raises BudgetExceeded on huge inputs."""
     if n == 0:
         raise ValueError("cannot factor 0")
-    sign = -1 if n < 0 else 1
     m = abs(n)
     factors: dict[int, int] = {}
-
-    def record(p: int) -> None:
-        factors[p] = factors.get(p, 0) + 1
-
-    for p in _SMALL_PRIMES:
+    # g is squarefree, so once p * p > g what is left of g is one prime
+    g = gcd(m, _TRIAL_PRODUCT)
+    for p in () if g in _TRIAL_SET else _TRIAL_PRIMES:
+        if p * p > g:
+            break
+        if g % p == 0:
+            g //= p
+            factors[p] = 0
+    if g > 1:
+        factors[g] = 0
+    for p in factors:
         while m % p == 0:
-            record(p)
             m //= p
-    # every cofactor is odd and free of the small primes; rho splits it properly
+            factors[p] += 1
+    # m is free of the trial primes: prime below 1009^2 (1009 is the next prime), else
+    # Miller-Rabin decides and rho splits it properly
     budget = [DEFAULT_RHO_BUDGET]
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
-        if is_prime(m):
-            record(m)
+        if m < 1009 * 1009 or is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
             continue
         f = _pollard_rho(m, budget)
         stack += (f, m // f)
-    return FactoredInteger(sign, tuple(sorted(factors.items())))
+    return FactoredInteger(-1 if n < 0 else 1, tuple(sorted(factors.items())))
 
 
 def valuation(n: int, p: int) -> int:

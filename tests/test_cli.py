@@ -132,6 +132,47 @@ def test_main_looks_up_the_command_when_it_runs(capsys, monkeypatch):
     assert seen == [17]
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nosuch"], ["descent", "-h"], ["descent"],
+    ["descent", "--curve=-1,0,1", "extra"], ["scan", "--curve=-1,0,1", "--bound=x"],
+    ["verify", "nosuch"],
+])
+def test_main_parses_as_the_top_level_parser(capsys, argv):
+    # main parses a known command with its subparser alone; every usage, help
+    # and error text must stay the top-level parser's, byte for byte
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser.__wrapped__().parse_args(argv)
+    want = (cli.EXIT_USAGE if exc.value.code else cli.EXIT_OK, *capsys.readouterr())
+    assert (main(argv), *capsys.readouterr()) == want
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    argv = ["descent", "--curve=-1,0,1", "--twist=17"]
+    want = run(capsys, *argv)
+    monkeypatch.setattr("sys.argv", ["twoselmer", *argv])
+    assert (main(None), capsys.readouterr().out) == want
+    monkeypatch.setattr("sys.argv", ["twoselmer", "nosuch"])
+    assert main() == 1
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+
+
+def test_scan_runs_the_module_level_scan_records(tmp_path, capsys, monkeypatch):
+    # bench/scan_child.py times a scan by wrapping cli.scan_records
+    import twoselmer.twist_lab
+
+    seen = []
+
+    def wrapped(*args, **kwargs):
+        for rec in twoselmer.twist_lab.scan_records(*args, **kwargs):
+            seen.append(rec.d)
+            yield rec
+
+    monkeypatch.setattr(cli, "scan_records", wrapped)
+    assert main(["scan", "--curve=-1,0,1", "--bound=10", f"--out={tmp_path}"]) == 0
+    capsys.readouterr()
+    assert seen == [1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10]
+
+
 def test_real_place_is_spelled_inf(capsys, m101):
     code, out = run(capsys, "descent", "--curve=-1,0,1", "--mask", "inf=sign")
     doc = last_json(out)
@@ -427,6 +468,19 @@ def test_verify_ramhv_checks_closed_form_against_sampler(capsys, monkeypatch):
     doc = last_json(out)
     assert doc["passed"] == 0
     assert [f["closed_form"] for f in doc["failures"]] == [False] * 3
+
+
+def test_verify_ramhv_without_a_good_prime_is_a_usage_error(capsys):
+    # Sigma holds every odd prime below 200, so ramhv has no prime to draw
+    p = 1
+    for q in range(3, 200, 2):
+        if all(q % r for r in range(3, q, 2)):
+            p *= q
+    assert main(["verify", "ramhv", f"--curve=0,{p},{2 * p}", "--trials=2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: no good prime below 200 is left: Sigma of 0,{p},{2 * p} "
+                            "holds every one\n")
 
 
 def test_verify_rejects_nonpositive_trials(capsys):

@@ -29,6 +29,7 @@ from twoselmer.padic import (
     local_class,
     local_pairing,
 )
+from twoselmer.selmer import selmer_group
 from twoselmer.twist_lab import scan_records
 from twoselmer.zarith import odd_primes, valuation
 
@@ -213,8 +214,14 @@ def test_image_cache_consistency(m101):
     assert a is b
     assert image_checks(a, p) is image_checks(a, p)
     assert twoselmer.local_descent._check_cache
+    span = twoselmer.local_descent._condition_span
+    selmer_group(m101, {}, verify=True)  # builds the verify span of each condition once
+    built = span.cache_info().currsize
+    assert built and span(a) is span(a) and span.cache_info().currsize == built
+    assert sorted(span(a).rows) == span_rows(a)
     clear_image_cache()
     assert not twoselmer.local_descent._check_cache
+    assert span.cache_info().currsize == 0
     c = kummer_image(m101, 0, p)
     assert c is not a
     assert span_rows(c) == span_rows(a)

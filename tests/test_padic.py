@@ -248,3 +248,23 @@ def test_sampler_identity_matches_fraction_reference(a, j, e, place):
     w = a - e * q
     assume(w != 0)
     assert local_class(w * q, place) == fraction_class(Fraction(a, q) - e, place)
+
+
+ODD_PRIMES_BELOW_200 = [p for p in range(3, 200, 2) if all(p % q for q in range(3, p, 2))]
+
+
+def test_local_class_fast_paths_match_fraction_reference():
+    # ints and Fractions, both signs, p^k | n for k up to 4, at inf, 2 and every odd p < 200
+    rng = random.Random(24)
+    for place in (REAL_PLACE, 2, *ODD_PRIMES_BELOW_200):
+        p = 2 if place == REAL_PLACE else place
+        for _ in range(40):
+            n = rng.choice([1, -1]) * rng.randint(1, 10**6) * p ** rng.randint(0, 4)
+            d = rng.randint(1, 10**3) * p ** rng.randint(0, 3)
+            for r in (n, Fraction(n, d), Fraction(d, n)):
+                assert local_class(r, place) == fraction_class(r, place), (r, place)
+    assert type(local_class(-12, 3)) is int
+    with pytest.raises(ValueError):
+        local_class(0, 5)
+    with pytest.raises(ValueError):
+        local_class(Fraction(0), 2)

@@ -217,3 +217,42 @@ def test_pointwise_check_names_first_violation(request, monkeypatch, model, d, f
     # element-major: the first basis element that fails anywhere, at its first such place
     with pytest.raises(SoundnessAlarm, match=rf"^{re.escape(first)}$"):
         selmer_group(curve, local_twist_classes(curve, d), verify=True)
+
+
+def test_pointwise_check_with_warm_caches_sees_a_wrong_image(monkeypatch, m101):
+    # every cache warm (image, check rows, verify spans), then a wrong image at 17
+    # alone: the stray bit makes a new condition tuple, so its span is built anew
+    masks = local_twist_classes(m101, 17)
+    want = selmer_group(m101, masks, verify=True).basis_values()
+    assert selmer_group(m101, masks, verify=True).basis_values() == want
+    image = twoselmer.selmer.kummer_image
+
+    def tampered(curve, d_class, place):
+        found = image(curve, d_class, place)
+        return tuple(c | 1 << 2 * _width(place) for c in found) if place == 17 else found
+
+    monkeypatch.setattr(twoselmer.selmer, "kummer_image", tampered)
+    with pytest.raises(SoundnessAlarm, match=r"^basis element \(17,1\) violates the condition "
+                                             r"at 17$"):
+        selmer_group(m101, masks, verify=True)
+    monkeypatch.undo()
+    assert selmer_group(m101, masks, verify=True).basis_values() == want
+
+
+def test_pointwise_check_is_independent_of_the_check_rows(monkeypatch, m101):
+    # the verify span comes from the condition's basis: check rows that drop the
+    # condition at 2 give a larger kernel, which the warm spans reject
+    masks = local_twist_classes(m101, 17)
+    selmer_group(m101, masks, verify=True)
+    checks = twoselmer.selmer.image_checks
+    monkeypatch.setattr(twoselmer.selmer, "image_checks",
+                        lambda condition, place: () if place == 2 else checks(condition, place))
+    with pytest.raises(SoundnessAlarm, match=r"violates the condition at 2$"):
+        selmer_group(m101, masks, verify=True)
+
+
+def test_result_decodes_its_basis_once(m101):
+    result = selmer_group(m101, local_twist_classes(m101, 17), verify=True)
+    values = result.basis_values()
+    assert result.basis_values() is values
+    assert result.to_record(m101, {})["basis"] == [list(pair) for pair in values]

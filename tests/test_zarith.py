@@ -155,6 +155,38 @@ def test_factorize_past_the_small_primes():
     assert all(is_prime(p) for p in (1009, 999983, 1000003, 1000033, 1000037))
 
 
+def test_factorize_across_the_trial_table_edge():
+    # 997 is the last table prime and 1009 the first prime past it: a cofactor
+    # below 1009^2 is prime unchecked, 1009^2 itself and larger ones are not
+    cases = [
+        (997, ((997, 1),)),
+        (1009, ((1009, 1),)),
+        (997 * 1009, ((997, 1), (1009, 1))),
+        (1009**2, ((1009, 2),)),
+        (1009 * 1013, ((1009, 1), (1013, 1))),
+        (999983**2, ((999983, 2),)),
+        (1000003 * 1000033, ((1000003, 1), (1000033, 1))),
+        (-(2**5) * 3 * 997**2 * 1009, ((2, 5), (3, 1), (997, 2), (1009, 1))),
+    ]
+    for n, factors in cases:
+        assert factorize(n) == FactoredInteger(1 if n > 0 else -1, factors), n
+        assert factorize(-n) == FactoredInteger(-1 if n > 0 else 1, factors), n
+
+
+def test_factorize_round_trip_up_to_the_query_range():
+    # the query workload's range: every factor is prime and the product is n
+    rng = random.Random(24)
+    for _ in range(2000):
+        n = rng.choice([1, -1]) * int(10 ** rng.uniform(0, 14))
+        f = factorize(n)
+        product = f.sign
+        for p, e in f.factors:
+            assert is_prime(p) and e > 0, (n, p)
+            product *= p**e
+        assert product == n
+        assert [p for p, _ in f.factors] == sorted({p for p, _ in f.factors})
+
+
 def test_factorize_rejects_zero():
     with pytest.raises(ValueError):
         factorize(0)
@@ -238,7 +270,7 @@ def test_is_squarefree():
 
 
 def test_rho_budget_exhaustion(monkeypatch, capsys):
-    n = 1000003 * 1000033  # no prime factor below 41: rho must split it
+    n = 1000003 * 1000033  # no prime factor below 1000 and past 1009^2: rho must split it
     monkeypatch.setattr(twoselmer.zarith, "DEFAULT_RHO_BUDGET", 1)
     with pytest.raises(BudgetExceeded) as exc:
         factorize(-2 * n)
