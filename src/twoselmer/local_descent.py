@@ -66,8 +66,6 @@ def _sample_x(p: int, roots: tuple[int, int, int]) -> Iterator[int]:
 
 
 _image_cache: dict[tuple, tuple[int, ...]] = {}
-# check rows per (image, width): a few dozen distinct images cover every twist
-_check_cache: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
 # the span of each condition, built from its basis, for selmer's pointwise check
 _condition_span = cache(gf2.Span)
 
@@ -120,13 +118,15 @@ def _sampled_image(model: FullTwoTorsionModel, d_class: int, place: int) -> tupl
     return tuple(basis)
 
 
+@cache
+def _checks(image: tuple[int, ...], width: int) -> tuple[int, ...]:
+    # per (image, width): a few dozen distinct images cover every twist
+    return tuple(gf2.kernel_basis(image, 2 * width))
+
+
 def image_checks(image: tuple[int, ...], place: int) -> tuple[int, ...]:
     """Check rows of an image at a place: its annihilator under the bit-dot pairing."""
-    width = _width(place)
-    checks = _check_cache.get((image, width))
-    if checks is None:
-        checks = _check_cache[image, width] = tuple(gf2.kernel_basis(image, 2 * width))
-    return checks
+    return _checks(image, _width(place))
 
 
 def h_v(model: FullTwoTorsionModel, d_class: int, place: int) -> int:
@@ -141,5 +141,5 @@ def h_v(model: FullTwoTorsionModel, d_class: int, place: int) -> int:
 
 def clear_image_cache() -> None:
     _image_cache.clear()
-    _check_cache.clear()
+    _checks.cache_clear()
     _condition_span.cache_clear()

@@ -14,7 +14,7 @@ one loop builds every row.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, product
 
 from . import gf2
 from .curve import FullTwoTorsionModel, sigma_set
@@ -86,20 +86,14 @@ def selmer_group(
             condition = tuple(1 << j for j in range(2 * k))
         else:
             condition = kummer_image(model, masks.get(v, 0), v)
-        # restriction at v, one row per cocycle bit over the 2m generator coordinates
-        res = [0] * k
-        for j, g in enumerate(places):
-            c = local_class(g, v)
-            for i in range(k):
-                if (c >> i) & 1:
-                    res[i] |= 1 << j
-        res += [r << m for r in res]
-        # each check annihilates the condition under the bit-dot pairing
+        # each check h annihilates the condition under the bit-dot pairing: its row
+        # pairs h with generator j's class at v in d1 (bit j) and in d2 (bit m + j)
+        classes = [local_class(g, v) for g in places]
         for h in image_checks(condition, v):
             row = 0
-            for i in range(2 * k):
-                if (h >> i) & 1:
-                    row ^= res[i]
+            for j, c in enumerate(classes):
+                row |= ((h & c).bit_count() & 1) << j
+                row |= (((h >> k) & c).bit_count() & 1) << (m + j)
             rows.append(row)
         conditions.append((v, condition))
 
@@ -112,6 +106,10 @@ def selmer_group(
 
 
 def _verify_pointwise(result: SelmerResult, conditions) -> None:
+    """Each basis pair's cocycle at each place lies in that place's condition span.
+
+    It checks the matrix against the conditions it was built from, so it catches
+    assembly faults (check rows, pairing rows), not a wrong Kummer image."""
     spans = [(v, _condition_span(condition)) for v, condition in conditions]
     for a, b in result.basis_values():
         for v, span in spans:
@@ -137,16 +135,10 @@ def duality_check(model: FullTwoTorsionModel, T: frozenset[int]) -> tuple[bool, 
         "counterexample": None,
     }
     plain = selmer_group(model, {}).basis_values()
-    for x in relaxed.basis_values():
-        for y in plain:
-            s = 0
-            for v in T:
-                s ^= local_pairing(v, _cocycle(*x, v), _cocycle(*y, v))
-            if s:
-                report["orthogonal"] = False
-                report["counterexample"] = {"x": list(x), "y": list(y)}
-                break
-        if not report["orthogonal"]:
+    for x, y in product(relaxed.basis_values(), plain):
+        if sum(local_pairing(v, _cocycle(*x, v), _cocycle(*y, v)) for v in T) % 2:
+            report["orthogonal"] = False
+            report["counterexample"] = {"x": list(x), "y": list(y)}
             break
     return report["gap_ok"] and report["orthogonal"], report
 
@@ -180,28 +172,20 @@ def collapse_masks(model: FullTwoTorsionModel) -> list[tuple[int, int]]:
     if not 2 <= k <= n:
         raise ValueError(f"needs dim = n + k with 2 <= k <= n; got dim {result.dim}, n {n}")
 
-    # t_i(s) = (bit i of d1, bit i of d2); greedy selection of 2-jumps
-    maps = []
-    for i in range(n):
-        rows = [((vec >> i) & 1) | (((vec >> (n + i)) & 1) << 1) for vec in result.basis]
-        maps.append(rows)
+    # coordinate i reads (bit i of d1, bit i of d2); keep the i whose two columns,
+    # read across the basis, both raise the rank of the columns so far
+    columns = gf2.Span()
     selected: list[int] = []
-    acc = [0] * result.dim
-    prev_rank = 0
     for i in range(n):
-        acc = [acc[j] | (maps[i][j] << (2 * i)) for j in range(result.dim)]
-        r = gf2.rank(acc)
-        if r == prev_rank + 2:
+        grew = [columns.add(sum((vec >> b & 1) << j for j, vec in enumerate(result.basis)))
+                for b in (i, n + i)]
+        if all(grew):
             selected.append(i)
-        prev_rank = r
     if len(selected) < k:
         raise SoundnessAlarm("surjection selection failed despite dim = n + k")
     selected = selected[:k]
-    joint = [
-        sum(maps[i][j] << (2 * pos) for pos, i in enumerate(selected))
-        for j in range(result.dim)
-    ]
-    if gf2.rank(joint) != 2 * k:
+    mask = sum(1 << i | 1 << n + i for i in selected)
+    if gf2.rank([vec & mask for vec in result.basis]) != 2 * k:
         raise SoundnessAlarm("selected coordinate maps are not jointly surjective")
 
     out: list[tuple[int, int]] = []

@@ -86,6 +86,35 @@ def test_summary_reports_ops_next_to_rss():
     assert summary["gate"]["twists_per_s"]["change_wins"] == "10/10"
 
 
+def test_pairs_alternate_which_side_runs_first(monkeypatch):
+    calls = []
+
+    def fake_bench(root, workload, trace):
+        calls.append((root.name, workload, trace))
+        return {"attempted": 1, "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "bench", fake_bench)
+    roots = {"parent": Path("parent"), "change": Path("change")}
+    runs = bench_pairs.alternate(roots, "rescan", 1, bench_pairs.TRACED_PAIRS)
+    assert [(r["pair"], r["side"]) for r in runs] == [
+        (1, "parent"), (1, "change"), (2, "change"), (2, "parent"), (3, "parent"), (3, "change")]
+    assert calls == [(r["side"], "rescan", 1) for r in runs]
+
+
+def test_traced_medians_read_each_metric_as_its_median():
+    def traced(calls, self_s, attempted, failed):
+        return {"correct": True, "attempted": attempted, "failed": failed,
+                "metrics": {"gf2.kernel_basis.calls": {"value": calls, "unit": "count"},
+                            "gf2.self_s": {"value": self_s, "unit": "s"}}}
+
+    side = bench_pairs.traced_medians(
+        [traced(3648, 0.0863, 7296, 0), traced(3648, 0.0715, 7300, 1),
+         traced(3648, 0.0790, 7200, 0)])
+    assert side == {"correct": True, "attempted": 7296, "failed": 1,
+                    "metrics": {"gf2.kernel_basis.calls": {"value": 3648, "unit": "count"},
+                                "gf2.self_s": {"value": 0.0790, "unit": "s"}}}
+
+
 def checkout(tmp_path: Path, run_py: str) -> Path:
     """A git checkout holding the tool, BENCHMARK.json, src/mod.py and run_py as bench/run.py."""
     repo = tmp_path / "repo"

@@ -490,9 +490,12 @@ def test_verify_rejects_nonpositive_trials(capsys):
         assert "--trials" in capsys.readouterr().err
 
 
-def test_verify_unknown_suite(capsys):
+def test_verify_unknown_suite(capsys, m101):
     assert main(["verify", "nosuch", "--curve=-1,0,1"]) == 1
     capsys.readouterr()
+    # the parser rejects it first; the library call names it
+    with pytest.raises(ValueError, match="^unknown suite 'nosuch'$"):
+        cli.run_verify_suite(m101, "nosuch", 1, 0)
 
 
 def test_search_inc2(capsys):

@@ -213,14 +213,15 @@ def test_image_cache_consistency(m101):
     b = kummer_image(m101, 0, p)
     assert a is b
     assert image_checks(a, p) is image_checks(a, p)
-    assert twoselmer.local_descent._check_cache
+    checks = twoselmer.local_descent._checks
+    assert checks.cache_info().currsize
     span = twoselmer.local_descent._condition_span
     selmer_group(m101, {}, verify=True)  # builds the verify span of each condition once
     built = span.cache_info().currsize
     assert built and span(a) is span(a) and span.cache_info().currsize == built
     assert sorted(span(a).rows) == span_rows(a)
     clear_image_cache()
-    assert not twoselmer.local_descent._check_cache
+    assert checks.cache_info().currsize == 0
     assert span.cache_info().currsize == 0
     c = kummer_image(m101, 0, p)
     assert c is not a

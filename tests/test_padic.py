@@ -52,7 +52,7 @@ def test_place_basics():
     assert REAL_PLACE == -1 and _width(REAL_PLACE) == 1
     assert _width(2) == 3
     assert _width(5) == 2
-    assert parse_place("inf") == REAL_PLACE
+    assert parse_place("inf") == parse_place("oo") == parse_place("infinity") == REAL_PLACE
     assert parse_place("7") == 7
     with pytest.raises(ValueError):
         parse_place("6")

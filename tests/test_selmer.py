@@ -6,7 +6,7 @@ import pytest
 
 import twoselmer.selmer
 from twoselmer.curve import FullTwoTorsionModel, local_twist_classes, sigma_set
-from twoselmer.errors import SoundnessAlarm
+from twoselmer.errors import BudgetExceeded, SoundnessAlarm
 from twoselmer.padic import REAL_PLACE, _width, local_class
 from twoselmer.selmer import (
     SelmerResult,
@@ -188,6 +188,21 @@ def test_collapse_masks_drop(m101):
         assert cls & 1  # ramified
     collapsed = selmer_group(tm, {w: c for w, c in masks}, verify=True)
     assert collapsed.dim == result.dim - 2 * k
+
+
+def test_collapse_masks_error_paths(monkeypatch, m101):
+    tm = FullTwoTorsionModel(tuple(1513 * e for e in m101.roots))  # k = 2, masks at 73, 137
+    monkeypatch.setattr(twoselmer.selmer, "DEFAULT_PRIME_BUDGET", 1)
+    with pytest.raises(BudgetExceeded, match="^no Frobenius prime found within budget$"):
+        collapse_masks(tm)
+    monkeypatch.undo()
+    # a group of dim n + k whose vectors have no d2 part: no coordinate maps onto F2^2
+    result = selmer_group(tm, {})
+    n = len(result.sigma_prime)
+    flat = SelmerResult(result.dim, [v & (1 << n) - 1 for v in result.basis], result.sigma_prime)
+    monkeypatch.setattr(twoselmer.selmer, "selmer_group", lambda model, masks: flat)
+    with pytest.raises(SoundnessAlarm, match="^surjection selection failed despite dim = n"):
+        collapse_masks(tm)
 
 
 def test_result_serialization_round_trip(m101):

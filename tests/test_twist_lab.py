@@ -13,7 +13,7 @@ from twoselmer.local_descent import h_v
 from twoselmer.padic import REAL_PLACE, _name, _width, local_class
 from twoselmer.selmer import selmer_group
 import twoselmer.twist_lab
-from twoselmer.errors import BudgetExceeded
+from twoselmer.errors import BudgetExceeded, SoundnessAlarm
 from twoselmer.twist_lab import (
     base_rank,
     character_candidates,
@@ -164,6 +164,22 @@ def test_find_plus_one(m101):
     assert witness["d"] < 0
     assert witness["r_before"] == 2 and witness["r_after"] == 3
     assert witness["masked_rank"] == 1
+
+
+def test_find_plus_one_sign_mask_alarm(monkeypatch, m101):
+    # a sign-masked group that does not lose exactly one dimension stops the search
+    real = selmer_group
+
+    def unmasked_at_inf(model, masks):
+        result = real(model, masks)
+        if masks == {REAL_PLACE: SIGN}:
+            result.dim += 1
+        return result
+
+    base_rank(m101)
+    monkeypatch.setattr(twoselmer.twist_lab, "selmer_group", unmasked_at_inf)
+    with pytest.raises(SoundnessAlarm, match=r"^sign-masked rank 2 != r - 1 = 1$"):
+        find_plus_one(m101)
 
 
 def test_squarefree_twists_order():

@@ -10,6 +10,7 @@ from twoselmer.errors import BudgetExceeded
 from twoselmer.padic import local_class
 from twoselmer.zarith import (
     FactoredInteger,
+    _pollard_rho,
     factorize,
     is_prime,
     is_squarefree,
@@ -277,3 +278,13 @@ def test_rho_budget_exhaustion(monkeypatch, capsys):
     assert str(exc.value) == f"pollard rho budget exhausted on {n}"
     assert main(["descent", "--curve=-1,0,1", f"--twist={n}"]) == 3
     assert capsys.readouterr().err == f"budget exhausted: pollard rho budget exhausted on {n}\n"
+
+
+def test_rho_retries_with_the_next_constant():
+    # 1013 * 1109: with c = 1 both factors' cycles close together (gcd n after 17
+    # steps), so rho starts over with c = 2 and finds 1109 after 50 more
+    n = 1013 * 1109
+    budget = [100]
+    assert _pollard_rho(n, budget) == 1109
+    assert budget == [100 - 17 - 50]
+    assert factorize(n).factors == ((1013, 1), (1109, 1))

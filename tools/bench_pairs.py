@@ -11,8 +11,10 @@ its commit id (marked when tracked files have uncommitted changes).  For each
 of the workloads scan, rescan and query the script runs 10 pairs, one run at
 a time: odd pairs run the parent first, even pairs the change first.  Each
 run is ``python3 bench/run.py --workload W --seed 1 --seconds 25 --trace 0``
-(the benchmark's own command) and its last stdout line is kept.  Then each
-side runs the workload once with ``--trace 1`` for the per-layer counts.
+(the benchmark's own command) and its last stdout line is kept.  Then 3 more
+alternating pairs run with ``--trace 1``, and each side reports every
+per-layer metric as the median of its 3 traced runs, with each run kept: one
+traced run per side cannot resolve a ``self_s`` change under about 20 %.
 The file holds every run, and per workload and side the median and
 quartiles of each end-to-end metric and of the ops attempted (``attempted``),
 and the failed ops; ``ops_ratio`` is the change/parent ratio of median
@@ -56,6 +58,7 @@ ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 WORKLOADS = ("scan", "rescan", "query")
 PAIRS = 10
+TRACED_PAIRS = 3
 CLAIM_WINS = 9
 SEED = 1
 SECONDS = 25
@@ -129,6 +132,30 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def alternate(roots: dict[str, Path], workload: str, trace: int, pairs: int) -> list[dict]:
+    """Runs in pairs, one at a time: odd pairs run the parent first, even pairs the change."""
+    runs = []
+    for pair in range(1, pairs + 1):
+        for side in ("parent", "change") if pair % 2 else ("change", "parent"):
+            result = bench(roots[side], workload, trace)
+            runs.append({"pair": pair, "side": side, "result": result})
+            print(f"{workload} --trace={trace} pair {pair} {side}: {result['attempted']} ops, "
+                  f"{result['failed']} failed", file=sys.stderr)
+    return runs
+
+
+def traced_medians(results: list[dict]) -> dict:
+    """One side's traced runs read as one: the median of each metric and of the ops."""
+    return {
+        "correct": all(r["correct"] for r in results),
+        "attempted": statistics.median(r["attempted"] for r in results),
+        "failed": sum(r["failed"] for r in results),
+        "metrics": {name: {"value": statistics.median(r["metrics"][name]["value"]
+                                                      for r in results), "unit": m["unit"]}
+                    for name, m in results[0]["metrics"].items()},
+    }
+
+
 def summarize(results: list[dict]) -> dict:
     out = {name: quartiles([r["metrics"][name]["value"] for r in results])
            for name in results[0]["metrics"]}
@@ -193,22 +220,17 @@ def main(argv=None) -> int:
             "runs": {},
         }
         for w in WORKLOADS:
-            runs = []
-            for pair in range(1, PAIRS + 1):
-                sides = ("parent", "change") if pair % 2 else ("change", "parent")
-                for side in sides:
-                    result = bench(roots[side], w, 0)
-                    runs.append({"pair": pair, "side": side, "result": result})
-                    tps = result["metrics"]["twists_per_s"]["value"]
-                    print(f"{w} pair {pair} {side}: {tps:.1f} twists/s, "
-                          f"{result['failed']} failed", file=sys.stderr)
+            runs = alternate(roots, w, 0, PAIRS)
             by_side = {s: [r["result"] for r in runs if r["side"] == s] for s in roots}
             doc["summary"][w] = workload_summary(w, by_side)
             doc["runs"][w] = runs
+            traced = alternate(roots, w, 1, TRACED_PAIRS)
             doc[f"traced_{w}"] = {
                 "command": f"python3 bench/run.py --workload {w} --seed {SEED} "
                            f"--seconds {SECONDS} --trace 1",
-                **{s: bench(roots[s], w, 1) for s in roots},
+                **{s: traced_medians([r["result"] for r in traced if r["side"] == s])
+                   for s in roots},
+                "runs": traced,
             }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
