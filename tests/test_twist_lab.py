@@ -176,7 +176,6 @@ def test_find_plus_one_sign_mask_alarm(monkeypatch, m101):
             result.dim += 1
         return result
 
-    base_rank(m101)
     monkeypatch.setattr(twoselmer.twist_lab, "selmer_group", unmasked_at_inf)
     with pytest.raises(SoundnessAlarm, match=r"^sign-masked rank 2 != r - 1 = 1$"):
         find_plus_one(m101)
