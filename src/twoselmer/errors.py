@@ -2,7 +2,7 @@
 
 
 class BudgetExceeded(RuntimeError):
-    """A configurable work budget ran out before the computation finished."""
+    """A configurable work budget ran out, or a finite search ended short."""
 
 
 class SoundnessAlarm(RuntimeError):

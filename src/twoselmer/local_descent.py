@@ -17,7 +17,6 @@ depend on the image alone.  h_v is read from one rank.
 from __future__ import annotations
 
 from functools import cache
-from itertools import count, islice
 from typing import Iterator
 
 from . import gf2
@@ -25,8 +24,6 @@ from .curve import FullTwoTorsionModel, sigma_set
 from .errors import BudgetExceeded
 from .padic import _cocycle, _name, _width, local_class, nonresidue
 from .zarith import valuation
-
-DEFAULT_SAMPLING_BUDGET = 10**5
 
 
 def _torsion_cocycles(model: FullTwoTorsionModel, d_class: int, place: int) -> tuple[int, int]:
@@ -39,9 +36,11 @@ def _torsion_cocycles(model: FullTwoTorsionModel, d_class: int, place: int) -> t
 
 
 def _sample_x(p: int, roots: tuple[int, int, int]) -> Iterator[int]:
-    """Deterministic stream of integers x dense enough in Z_p, p a prime.  Points near O add
-    nothing: at an odd p they lie in E_1(Q_p), a pro-p group; at 2, adding (e_i, 0) moves one
-    next to e_i, onto the ladder, and adds a torsion cocycle (Silverman X.1.4, VII.2)."""
+    """Finite deterministic stream of integers x dense enough in Z_p, p a prime: the near-root
+    ladder, then at a good p only the residues range(p), lifting the points of E(F_p) it misses.
+    Points near O add nothing: at an odd p they lie in E_1(Q_p), a pro-p group; at 2, adding
+    (e_i, 0) moves one next to e_i, onto the ladder, and adds a torsion cocycle (Silverman
+    X.1.4, VII.2)."""
     # near-root ladder: x = r + t * p^m with t hitting both residue signs,
     # climbing past the deepest root difference
     r1, r2, r3 = roots
@@ -59,10 +58,9 @@ def _sample_x(p: int, roots: tuple[int, int, int]) -> Iterator[int]:
             for t in ts:
                 yield r + t * pm
                 yield r - t * pm
-    # integers covering all residues
-    for a in count(1):
-        yield a
-        yield -a
+    # at a good prime (deep = 0; never at 2) every residue; at Sigma the ladder ends the stream
+    if not deep:
+        yield from range(p)
 
 
 _image_cache: dict[tuple, tuple[int, ...]] = {}
@@ -103,7 +101,7 @@ def _sampled_image(model: FullTwoTorsionModel, d_class: int, place: int) -> tupl
     # x on the base model: rep * x, class(rep) = d_class, is on the twist iff
     # w1 w2 w3 = f(x) has class d_class, and rep * x - rep * e_i adds d_class to w_i
     e1, e2, e3 = model.roots
-    for x in islice(samples, DEFAULT_SAMPLING_BUDGET):
+    for x in samples:
         w1, w2, w3 = x - e1, x - e2, x - e3
         if not (w1 and w2 and w3) or local_class(w1 * w2 * w3, place) != d_class:
             continue

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -468,6 +469,17 @@ def test_verify_ramhv_checks_closed_form_against_sampler(capsys, monkeypatch):
     doc = last_json(out)
     assert doc["passed"] == 0
     assert [f["closed_form"] for f in doc["failures"]] == [False] * 3
+
+
+def test_random_good_prime_draws_every_good_prime_below_200():
+    # the pool is the odd primes below 200 that divide no root difference, 3 included
+    for roots in ((-1, 0, 1), (-7, 1, 20)):
+        model = twoselmer.curve.FullTwoTorsionModel(roots)
+        e1, e2, e3 = roots
+        disc = (e2 - e1) * (e3 - e1) * (e3 - e2)
+        good = {q for q in range(3, 200, 2) if all(q % r for r in range(3, q, 2)) and disc % q}
+        rng = random.Random(7)
+        assert {cli._random_good_prime(rng, model) for _ in range(2000)} == good, roots
 
 
 def test_verify_ramhv_without_a_good_prime_is_a_usage_error(capsys):

@@ -330,8 +330,40 @@ def test_points_near_o_lie_next_to_a_root_after_a_torsion_shift(corpus):
     assert cases > 3000
 
 
+def assert_complete_and_isotropic(model, place, classes):
+    for c in classes:
+        img = kummer_image(model, c, place)
+        assert len(img) == _width(place), (model.roots, place, c)
+        assert all(local_pairing(place, a, b) == 0 for a in img for b in img), (model.roots, c)
+
+
+@pytest.mark.parametrize(
+    "roots, place, classes",
+    [
+        ((-7, 1, 20), 2, (4, 7)),  # stuck with ts = [1] at 2
+        ((51 * 11**8, 193 * 11**8, 197 * 11**8), 11, (0, 2)),  # stuck at an odd depth deep + 0
+        ((-21 * 13**2, 29 * 13**2, 43 * 13**2), 13, (0,)),  # stuck with odd ts = [1, u]
+    ],
+)
+def test_ladder_edge_images_complete(roots, place, classes):
+    assert_complete_and_isotropic(FullTwoTorsionModel(roots), place, classes)
+
+
+def test_seeded_sigma_images_complete():
+    # random root triples in [-200, 200], every second one scaled by p^k, p <= 13, k <= 8
+    rng = random.Random(1)
+    for n in range(200):
+        roots = rng.sample(range(-200, 201), 3)
+        if n % 2:
+            scale = rng.choice((2, 3, 5, 7, 11, 13)) ** rng.randint(1, 8)
+            roots = [scale * e for e in roots]
+        model = FullTwoTorsionModel(roots)
+        for place in sigma_set(model):
+            assert_complete_and_isotropic(model, place, range(1 << _width(place)))
+
+
 def test_exhausted_sampling_budget_is_loud(m101, monkeypatch, capsys):
-    monkeypatch.setattr(twoselmer.local_descent, "DEFAULT_SAMPLING_BUDGET", 0)
+    monkeypatch.setattr(twoselmer.local_descent, "_sample_x", lambda p, roots: iter(()))
     monkeypatch.setattr(twoselmer.local_descent, "_image_cache", {})
     # at 2 the two torsion cocycles are all that is left of a width-3 image
     with pytest.raises(BudgetExceeded) as exc:
