@@ -115,8 +115,7 @@ def cmd_scan(args) -> int:
     manifest = _dump({"curve": str(model), "bound": args.bound, "version": __version__}) + "\n"
 
     kept: list[twist_lab.TwistRecord] = []
-    resuming = args.resume and os.path.exists(records_path)
-    if resuming:
+    if args.resume and os.path.exists(records_path):
         try:
             with open(manifest_path) as fh:
                 found = fh.read()
@@ -134,15 +133,14 @@ def cmd_scan(args) -> int:
             raise ValueError(
                 f"cannot resume: {records_path} is not the scan's first {len(kept)} twists"
             )
-        _replace_file(records_path, "".join(_record_line(rec) for rec in kept))
     else:
         _replace_file(manifest_path, manifest)
+    _replace_file(records_path, "".join(_record_line(rec) for rec in kept))
 
-    after = kept[-1].d if kept else 0
-    with open(records_path, "a" if resuming else "w") as fh:
+    with open(records_path, "a") as fh:
         def written():
             # each line reaches the file before summarize counts its record
-            for rec in scan_records(model, args.bound, timing=args.timing, after=after):
+            for rec in scan_records(model, args.bound, timing=args.timing, skip=len(kept)):
                 fh.write(_record_line(rec))
                 fh.flush()
                 yield rec

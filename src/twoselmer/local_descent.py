@@ -117,14 +117,10 @@ def _sampled_image(model: FullTwoTorsionModel, d_class: int, place: int) -> tupl
 
 
 @cache
-def _checks(image: tuple[int, ...], width: int) -> tuple[int, ...]:
-    # per (image, width): a few dozen distinct images cover every twist
+def image_checks(image: tuple[int, ...], width: int) -> tuple[int, ...]:
+    """Check rows of an image of the given width: its annihilator under the bit-dot pairing.
+    Cached per (image, width): a few dozen distinct images cover every twist."""
     return tuple(gf2.kernel_basis(image, 2 * width))
-
-
-def image_checks(image: tuple[int, ...], place: int) -> tuple[int, ...]:
-    """Check rows of an image at a place: its annihilator under the bit-dot pairing."""
-    return _checks(image, _width(place))
 
 
 def h_v(model: FullTwoTorsionModel, d_class: int, place: int) -> int:
@@ -139,5 +135,5 @@ def h_v(model: FullTwoTorsionModel, d_class: int, place: int) -> int:
 
 def clear_image_cache() -> None:
     _image_cache.clear()
-    _checks.cache_clear()
+    image_checks.cache_clear()
     _condition_span.cache_clear()

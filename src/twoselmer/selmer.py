@@ -89,7 +89,7 @@ def selmer_group(
         # each check h annihilates the condition under the bit-dot pairing: its row
         # pairs h with generator j's class at v in d1 (bit j) and in d2 (bit m + j)
         classes = [local_class(g, v) for g in places]
-        for h in image_checks(condition, v):
+        for h in image_checks(condition, k):
             row = 0
             for j, c in enumerate(classes):
                 row |= ((h & c).bit_count() & 1) << j

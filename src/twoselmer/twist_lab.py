@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import time
 from functools import cache
-from itertools import count
+from itertools import count, islice
 from math import isqrt, prod
 from typing import Iterable, Iterator, NamedTuple
 
@@ -113,28 +113,25 @@ def find_plus_one(model: FullTwoTorsionModel, budget: int = DEFAULT_PRIME_BUDGET
             return {"d": d, "r_before": r_before, "r_after": r_after, "masked_rank": masked}
 
 
-def squarefree_twists(bound: int, after: int = 0) -> Iterator[int]:
-    """The scan order: squarefree d, 0 < |d| <= bound, by increasing |d| and d before
-    -d.  A nonzero after is the last d already done; only the twists past it follow."""
+def squarefree_twists(bound: int) -> Iterator[int]:
+    """The scan order: squarefree d, 0 < |d| <= bound, by increasing |d| and d before -d."""
     # a sieve of square divisors: clear every multiple of k^2, 2 <= k <= sqrt(bound)
     squarefree = bytearray([1]) * (bound + 1)
     for k in range(2, isqrt(max(bound, 0)) + 1):
         for a in range(k * k, bound + 1, k * k):
             squarefree[a] = 0
-    if after > 0:
-        yield -after
-    for a in range(abs(after) + 1, bound + 1):
+    for a in range(1, bound + 1):
         if squarefree[a]:
             yield a
             yield -a
 
 
 def scan_records(
-    model: FullTwoTorsionModel, bound: int, timing: bool = False, after: int = 0
+    model: FullTwoTorsionModel, bound: int, timing: bool = False, skip: int = 0
 ) -> Iterator[TwistRecord]:
-    """One record per twist of squarefree_twists(bound, after); a resumed
-    scan passes the last d it has finished."""
-    for d in squarefree_twists(bound, after):
+    """One record per twist of squarefree_twists(bound) past its first skip; a resumed
+    scan passes the count of twists it has finished."""
+    for d in islice(squarefree_twists(bound), skip, None):
         t0 = time.monotonic()
         rec = parity_check(model, d)
         yield rec._replace(ms=int((time.monotonic() - t0) * 1000)) if timing else rec

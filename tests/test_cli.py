@@ -264,6 +264,41 @@ def test_scan_resume_computes_only_the_appended_twists(tmp_path, capsys, monkeyp
     assert calls == appended and 0 < len(calls) < len(ds)
 
 
+def test_scan_resume_from_every_cut(tmp_path, capsys, monkeypatch):
+    # n complete lines end on a d (n odd) or on a -d (n even), or the file is empty
+    import twoselmer.twist_lab
+
+    full = tmp_path / "full"
+    argv = ["scan", "--curve=-1,0,1", "--bound=20"]
+    assert main([*argv, f"--out={full}"]) == 0
+    capsys.readouterr()
+    records = (full / "records.jsonl").read_bytes()
+    lines = records.splitlines(keepends=True)
+    ds = [json.loads(ln)["d"] for ln in lines]
+    cuts = {f"n={n}": (n, b"".join(lines[:n])) for n in range(len(lines) + 1)}
+    cuts["torn"] = (len(lines) - 1, records[:-20])
+
+    calls = []
+    parity_check = twoselmer.twist_lab.parity_check
+
+    def counting(model, d):
+        calls.append(d)
+        return parity_check(model, d)
+
+    monkeypatch.setattr(twoselmer.twist_lab, "parity_check", counting)
+    for name, (n, kept) in cuts.items():
+        part = tmp_path / name
+        part.mkdir()
+        (part / "scan.json").write_bytes((full / "scan.json").read_bytes())
+        (part / "records.jsonl").write_bytes(kept)
+        calls.clear()
+        assert main([*argv, f"--out={part}", "--resume"]) == 0
+        capsys.readouterr()
+        assert (part / "records.jsonl").read_bytes() == records, name
+        assert (part / "summary.json").read_bytes() == (full / "summary.json").read_bytes(), name
+        assert calls == ds[n:], name
+
+
 def test_scan_resume_rejects_corrupt_line(tmp_path, capsys):
     out = tmp_path / "c"
     assert main(["scan", "--curve=-1,0,1", "--bound=5", f"--out={out}"]) == 0

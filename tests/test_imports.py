@@ -1,7 +1,7 @@
-"""Import hygiene of the package and its tests, checked with a small ``ast`` pass.
+"""Import hygiene of the package, its tests and tools, checked with a small ``ast`` pass.
 
-Neither ruff nor pyflakes is a dependency.  Every name a package or test
-module imports must appear as a ``Name`` somewhere in the module or be
+Neither ruff nor pyflakes is a dependency.  Every name a package, test
+or tool module imports must appear as a ``Name`` somewhere in the module or be
 re-exported through ``__all__``, rationals enter only through the input
 parsers, every top-level function or class, private or public, is used by
 the package itself or listed with the reason it stays, and every top-level
@@ -15,6 +15,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "twoselmer"
+TOOLS = TESTS.parent / "tools"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,7 +44,7 @@ def test_unused_import_check_detects_unused():
 
 
 def test_no_unused_imports():
-    paths = [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))]
+    paths = [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py")), *sorted(TOOLS.glob("*.py"))]
     found = {f"{p.parent.name}/{p.name}": unused_imports(p.read_text()) for p in paths}
     assert {name: names for name, names in found.items() if names} == {}
 

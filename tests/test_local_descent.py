@@ -212,16 +212,15 @@ def test_image_cache_consistency(m101):
     a = kummer_image(m101, 0, p)
     b = kummer_image(m101, 0, p)
     assert a is b
-    assert image_checks(a, p) is image_checks(a, p)
-    checks = twoselmer.local_descent._checks
-    assert checks.cache_info().currsize
+    assert image_checks(a, _width(p)) is image_checks(a, _width(p))
+    assert image_checks.cache_info().currsize
     span = twoselmer.local_descent._condition_span
     selmer_group(m101, {}, verify=True)  # builds the verify span of each condition once
     built = span.cache_info().currsize
     assert built and span(a) is span(a) and span.cache_info().currsize == built
     assert sorted(span(a).rows) == span_rows(a)
     clear_image_cache()
-    assert checks.cache_info().currsize == 0
+    assert image_checks.cache_info().currsize == 0
     assert span.cache_info().currsize == 0
     c = kummer_image(m101, 0, p)
     assert c is not a
@@ -234,7 +233,7 @@ def test_image_checks_annihilate_the_image(corpus):
             k = _width(place)
             for c in range(1 << k):
                 image = kummer_image(m, c, place)
-                checks = image_checks(image, place)
+                checks = image_checks(image, _width(place))
                 assert len(checks) == 2 * k - len(image)
                 for h in checks:
                     assert all((h & a).bit_count() % 2 == 0 for a in image)

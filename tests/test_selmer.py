@@ -261,7 +261,7 @@ def test_pointwise_check_is_independent_of_the_check_rows(monkeypatch, m101):
     selmer_group(m101, masks, verify=True)
     checks = twoselmer.selmer.image_checks
     monkeypatch.setattr(twoselmer.selmer, "image_checks",
-                        lambda condition, place: () if place == 2 else checks(condition, place))
+                        lambda condition, width: () if width == 3 else checks(condition, width))
     with pytest.raises(SoundnessAlarm, match=r"violates the condition at 2$"):
         selmer_group(m101, masks, verify=True)
 

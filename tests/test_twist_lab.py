@@ -181,18 +181,18 @@ def test_find_plus_one_sign_mask_alarm(monkeypatch, m101):
         find_plus_one(m101)
 
 
-def test_squarefree_twists_order():
+def test_squarefree_twists_order(m101):
     assert list(itertools.islice(squarefree_twists(10), 8)) == [1, -1, 2, -2, 3, -3, 5, -5]
     assert 4 not in set(squarefree_twists(10))
     # the sieve against one is_squarefree call per a
     for bound in (0, 1, 2, 3, 4, 9, 10, 1000):
         expected = [s * a for a in range(1, bound + 1) if is_squarefree(a) for s in (1, -1)]
         assert list(squarefree_twists(bound)) == expected
-    # after is the last d done: the rest of the order follows it
+    # skip is the count of twists done: the rest of the order follows them
     for bound in (1, 2, 10, 100):
         seq = list(squarefree_twists(bound))
-        for n in range(1, len(seq) + 1):
-            assert list(squarefree_twists(bound, after=seq[n - 1])) == seq[n:], (bound, n)
+        for n in range(len(seq) + 1):
+            assert [r.d for r in scan_records(m101, bound, skip=n)] == seq[n:], (bound, n)
 
 
 def test_scan_small(m101):
