@@ -61,7 +61,7 @@ PLAIN = [
     ["search", "plus-one", "--curve=0,1,2"],
     ["search", "plus-one", "--curve=-1,0,1", "--budget=0"],
     *(["scan", f"--curve={curve}", "--bound=1000", "--out=out"] for curve in SCANNED),
-    # rejected inputs, each its own exit code and one stderr line
+    # rejected inputs, and the edges of verify ramhv's good-prime draw
     ["descent", "--curve=bogus"],
     ["descent", "--curve=[1,-128,0,-48,-4]"],
     ["descent", "--curve=-1,0,1", "--twist=12"],
@@ -82,10 +82,8 @@ PLAIN = [
 
 def transcribe(argv: list[str], inputs: dict[str, str]) -> dict:
     """One in-process run of ``cli.main(argv)`` in a directory holding ``inputs``."""
-    from twoselmer import cli
-    from twoselmer.local_descent import clear_image_cache
+    from twoselmer import cli  # at the call: main puts this checkout's src on the path first
 
-    clear_image_cache()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in inputs.items():
@@ -96,7 +94,7 @@ def transcribe(argv: list[str], inputs: dict[str, str]) -> dict:
         os.chdir(tmp)
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(list(argv))
+                code = cli.main(argv)
         finally:
             os.chdir(cwd)
         files = {p.relative_to(tmp).as_posix(): p.read_bytes().decode()
