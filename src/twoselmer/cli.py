@@ -246,14 +246,8 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     model = _load_model(args)
-    try:
-        if args.kind == "inc2":
-            witness = twist_lab.find_inc2(model)
-        else:
-            witness = twist_lab.find_plus_one(model, args.budget)
-    except BudgetExceeded as exc:
-        print(_dump({"error": str(exc)}))
-        return EXIT_BUDGET
+    find = twist_lab.find_inc2 if args.kind == "inc2" else twist_lab.find_plus_one
+    witness = find(model)
     print(_dump({**witness, "kind": args.kind}))
     return EXIT_OK
 
@@ -308,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="constructive twist searches")
     p.add_argument("kind", choices=["inc2", "plus-one"])
     p.add_argument("--curve", required=True)
-    p.add_argument("--budget", type=int, default=twist_lab.DEFAULT_PRIME_BUDGET,
-                   help="primes plus-one may try; inc2 tries one prime and ignores it")
 
     p = sub.add_parser("bound", help="report n, the 2n cap and t_hat checks from a summary")
     p.add_argument("--summary", required=True)

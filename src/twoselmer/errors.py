@@ -2,7 +2,7 @@
 
 
 class BudgetExceeded(RuntimeError):
-    """A configurable work budget ran out, or a finite search ended short."""
+    """A work budget ran out, or a finite search ended short."""
 
 
 class SoundnessAlarm(RuntimeError):

@@ -163,7 +163,8 @@ def collapse_masks(model: FullTwoTorsionModel) -> list[tuple[int, int]]:
     Requires dim = n + k with 2 <= k <= n, n = |Sigma'|.  Directions are
     selected where reading a single generator coordinate of both components
     is jointly surjective onto (F2^2)^k, then primes realizing those
-    Frobenius conditions are found by Legendre-symbol search.
+    Frobenius conditions are found by Legendre-symbol search.  The drop is
+    re-verified by a descent; a miss raises SoundnessAlarm.
     """
     result = selmer_group(model, {})
     places = result.sigma_prime
@@ -184,8 +185,11 @@ def collapse_masks(model: FullTwoTorsionModel) -> list[tuple[int, int]]:
     if len(selected) < k:
         raise SoundnessAlarm("surjection selection failed despite dim = n + k")
 
-    out: list[tuple[int, int]] = []
-    for i in selected[:k]:
-        w = _find_frobenius_prime(places, i)
-        out.append((w, local_class(w, w)))
-    return out
+    primes = [_find_frobenius_prime(places, i) for i in selected[:k]]
+    masks = [(w, local_class(w, w)) for w in primes]
+    dim = selmer_group(model, dict(masks)).dim
+    if dim != result.dim - 2 * k:
+        raise SoundnessAlarm(
+            f"masks at {primes} took dim {result.dim} to {dim}, not {result.dim - 2 * k}"
+        )
+    return masks

@@ -598,13 +598,19 @@ def test_factoring_past_the_primality_bound_exits_3(capsys):
     assert err.startswith("budget exhausted: ") and "Miller-Rabin bound" in err
 
 
-def test_search_budget_exhaustion_exit_code(capsys):
-    # inc2 checks its one progression prime whatever the budget
-    code, out = run(capsys, "search", "inc2", "--curve=-1,0,1", "--budget=0")
+def test_search_budget_exhaustion_exit_code(capsys, monkeypatch):
+    import twoselmer.twist_lab
+
+    # inc2 checks its one progression prime; neither search takes a budget option
+    code, out = run(capsys, "search", "inc2", "--curve=-1,0,1")
     assert code == 0 and last_json(out)["q"] == 17
-    code, out = run(capsys, "search", "plus-one", "--curve=-1,0,1", "--budget=0")
-    assert code == 3
-    assert last_json(out)["error"] == "character prime search budget exceeded"
+    monkeypatch.setattr(twoselmer.twist_lab, "DEFAULT_PRIME_BUDGET", 2)
+    assert main(["search", "plus-one", "--curve=-1,0,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exhausted: character prime search budget exceeded\n"
+    assert main(["search", "plus-one", "--curve=-1,0,1", "--budget=0"]) == 1
+    capsys.readouterr()
 
 
 def test_bound_command(tmp_path, capsys):

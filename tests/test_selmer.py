@@ -205,6 +205,14 @@ def test_collapse_masks_error_paths(monkeypatch, m101):
         collapse_masks(tm)
 
 
+def test_collapse_masks_verifies_its_drop(monkeypatch, m101):
+    # a Frobenius search that answers every target with one prime cannot drop the group by 2k
+    tm = FullTwoTorsionModel(tuple(1513 * e for e in m101.roots))  # k = 2, masks at 73, 137
+    monkeypatch.setattr(twoselmer.selmer, "_find_frobenius_prime", lambda gens, i: 73)
+    with pytest.raises(SoundnessAlarm, match=r"^masks at \[73, 73\] took dim 6 to 4, not 2$"):
+        collapse_masks(tm)
+
+
 def test_result_serialization_round_trip(m101):
     result = selmer_group(m101, {REAL_PLACE: SIGN})
     record = result.to_record(m101, {REAL_PLACE: SIGN})

@@ -10,13 +10,12 @@ import twoselmer.gf2
 from twoselmer.curve import FullTwoTorsionModel, local_twist_classes, sigma_set
 from twoselmer.gf2 import kernel_basis
 from twoselmer.local_descent import h_v
-from twoselmer.padic import REAL_PLACE, _name, _width, local_class
+from twoselmer.padic import REAL_PLACE, _width, local_class
 from twoselmer.selmer import selmer_group
 import twoselmer.twist_lab
 from twoselmer.errors import BudgetExceeded, SoundnessAlarm
 from twoselmer.twist_lab import (
     base_rank,
-    character_candidates,
     find_inc2,
     find_plus_one,
     parity_check,
@@ -68,32 +67,6 @@ def test_parity_small_range(corpus):
             assert parity_check(m, d).parity_ok, (m.roots, d)
 
 
-def test_build_character_examples():
-    m33 = FullTwoTorsionModel((-3, 0, 3))  # Sigma = {inf, 2, 3}
-    assert [_name(v) for v in sigma_set(m33)] == ["inf", "2", "3"]
-    d = next(character_candidates(m33, {REAL_PLACE: SIGN}))
-    assert d == -23
-
-    m101 = FullTwoTorsionModel((-1, 0, 1))
-    # of the d supported on Sigma = {inf, 2}, only 1 is trivial at every place
-    units = sigma_set(m101)  # each place is its generator: -1 for inf
-    supported = [
-        math.prod(u for i, u in enumerate(units) if (bits >> i) & 1)
-        for bits in range(1 << len(units))
-    ]
-    trivial = [s for s in supported if all(local_class(s, v) == 0 for v in sigma_set(m101))]
-    assert trivial == [1]
-    assert next(character_candidates(m101, {})) == 17
-
-
-def test_build_character_matches_prescription():
-    m = FullTwoTorsionModel((0, 1, 5))
-    pres = {REAL_PLACE: SIGN, 5: 0b10}
-    d = next(character_candidates(m, pres))
-    for v in sigma_set(m):
-        assert local_class(d, v) == pres.get(v, 0)
-
-
 def _subset_candidates(model, at_sigma):
     """The exhaustive search: every Sigma-supported s against each prime q outside Sigma."""
     sigma = sigma_set(model)
@@ -110,27 +83,44 @@ def _subset_candidates(model, at_sigma):
                 yield s * q
 
 
-def test_character_candidates_against_subset_search(search_curves):
-    # random classes at every place of Sigma, odd valuations at 2 and at odd
-    # primes included: the fixed Sigma-part must be the one the exhaustive search finds
+def test_plus_one_witness_is_the_first_reference_candidate(search_curves, m101):
+    # -23 on (-3,0,3) and -47 on the 17-twist of (-1,0,1) among them
+    e17 = FullTwoTorsionModel(tuple(17 * e for e in m101.roots))
+    for m in [*search_curves, e17]:
+        expected = next(_subset_candidates(m, {REAL_PLACE: SIGN}))
+        assert find_plus_one(m)["d"] == expected, m.roots
+
+
+def test_prescribed_candidates_gain_two_over_the_masked_group(search_curves):
+    # the identity behind the one-shot search: a twist matching a prescription P
+    # at every place of Sigma differs from the P-masked group only at its new prime
     rng = random.Random(8)
     odd_valuation_at = set()
     for m in search_curves:
         sigma = sigma_set(m)
-        for _ in range(25):
+        for _ in range(8):
             pres = {v: rng.randrange(1 << _width(v)) for v in sigma}
             odd_valuation_at.update(v == 2 for v in sigma if v != REAL_PLACE and pres[v] & 1)
-            expected = list(itertools.islice(_subset_candidates(m, pres), 8))
-            got = list(itertools.islice(character_candidates(m, pres), 8))
-            assert got == expected, (m.roots, pres)
+            masked = selmer_group(m, pres).dim
+            for d in itertools.islice(_subset_candidates(m, pres), 4):
+                assert rank_of_twist(m, d) == masked + 2, (m.roots, pres, d)
     assert odd_valuation_at == {True, False}
 
 
-def test_character_candidates_budget(m101):
-    # the budget counts primes outside Sigma: 3, 5, 7, ...; (-1,0,1) has 17 first
-    with pytest.raises(BudgetExceeded, match="character prime search budget exceeded"):
-        next(character_candidates(m101, {}, budget=5))
-    assert next(character_candidates(m101, {}, budget=6)) == 17
+def test_find_plus_one_budget(monkeypatch, m101):
+    # the budget counts primes outside Sigma: 3, 5, 7, ...; (-1,0,1) takes the third
+    monkeypatch.setattr(twoselmer.twist_lab, "DEFAULT_PRIME_BUDGET", 2)
+    with pytest.raises(BudgetExceeded, match="^character prime search budget exceeded$"):
+        find_plus_one(m101)
+    monkeypatch.setattr(twoselmer.twist_lab, "DEFAULT_PRIME_BUDGET", 3)
+    assert find_plus_one(m101)["d"] == -7
+
+
+def test_find_plus_one_descent_alarm(monkeypatch, m101):
+    # a witness the descent does not confirm stops the search: no other q is tried
+    monkeypatch.setattr(twoselmer.twist_lab, "rank_of_twist", lambda model, d: 4)
+    with pytest.raises(SoundnessAlarm, match=r"^d=-7 met all conditions but r went 2 -> 4$"):
+        find_plus_one(m101)
 
 
 INC2_WITNESSES = {

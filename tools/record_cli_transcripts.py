@@ -59,7 +59,7 @@ PLAIN = [
     ["search", "inc2", "--curve=0,4,9"],
     ["search", "plus-one", "--curve=-1,0,1"],
     ["search", "plus-one", "--curve=0,1,2"],
-    ["search", "plus-one", "--curve=-1,0,1", "--budget=0"],
+    ["search", "plus-one", "--curve=0,1,5"],
     *(["scan", f"--curve={curve}", "--bound=1000", "--out=out"] for curve in SCANNED),
     # rejected inputs, and the edges of verify ramhv's good-prime draw
     ["descent", "--curve=bogus"],
