@@ -2,8 +2,7 @@
 
 All output is line-delimited JSON records (streams) or one JSON document
 (summaries), each written by ``_dump``, which stamps the schema_version field.
-Reruns with the same arguments are byte-identical; scan timing is therefore
-off unless --timing is given.
+Reruns with the same arguments are byte-identical.
 
 Exit codes: 0 success, 1 usage, 2 verification failure (a failed check or a
 soundness alarm), 3 budget exhausted.
@@ -12,6 +11,7 @@ soundness alarm), 3 budget exhausted.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -140,7 +140,7 @@ def cmd_scan(args) -> int:
     with open(records_path, "a") as fh:
         def written():
             # each line reaches the file before summarize counts its record
-            for rec in scan_records(model, args.bound, timing=args.timing, skip=len(kept)):
+            for rec in scan_records(model, args.bound, skip=len(kept)):
                 fh.write(_record_line(rec))
                 fh.flush()
                 yield rec
@@ -178,6 +178,7 @@ def run_verify_suite(model: FullTwoTorsionModel, suite: str, trials: int, seed: 
     sigma = sigma_set(model)
     passed = 0
     failures: list[dict] = []
+    draws: list[str] = []
     for _ in range(trials):
         if suite == "parity":
             d = _random_squarefree(rng, 500)
@@ -196,8 +197,7 @@ def run_verify_suite(model: FullTwoTorsionModel, suite: str, trials: int, seed: 
             img = kummer_image(model, cls, v)
             iso = all(local_pairing(v, a, b) == 0 for a in img for b in img)
             ok = iso and len(img) * 2 == 2 * _width(v)
-            bits = [(cls >> i) & 1 for i in range(_width(v))]
-            detail = {"place": _name(v), "class": bits, "dim": len(img)}
+            detail = {"place": _name(v), "class": cls, "dim": len(img)}
         elif suite == "ramhv":
             q = _random_good_prime(rng, model)
             cls = 1 | rng.randint(0, 1) << 1
@@ -210,7 +210,8 @@ def run_verify_suite(model: FullTwoTorsionModel, suite: str, trials: int, seed: 
             h = h_v(model, cls, q)
             inter_dim = len(a1) + len(ax) - gf2.rank([*a1, *ax])
             ok = closed_ok and h == 2 and not inter_dim
-            detail = {"q": q, "h": h, "intersection_dim": inter_dim, "closed_form": closed_ok}
+            detail = {"q": q, "class": cls, "h": h, "intersection_dim": inter_dim,
+                      "closed_form": closed_ok}
         elif suite == "babo":
             q = rng.choice(list(sigma) + [p for p in (3, 5, 7, 11) if p not in sigma])
             c1, c2 = _random_class(rng, q), _random_class(rng, q)
@@ -218,9 +219,11 @@ def run_verify_suite(model: FullTwoTorsionModel, suite: str, trials: int, seed: 
             r2 = selmer_group(model, {q: c2}).dim
             cap = len(kummer_image(model, 0, q))
             ok = abs(r1 - r2) <= cap
-            detail = {"place": _name(q), "r1": r1, "r2": r2, "cap": cap}
+            detail = {"place": _name(q), "classes": [c1, c2], "r1": r1, "r2": r2, "cap": cap}
         else:
             raise ValueError(f"unknown suite {suite!r}")
+        # the digest of the detail, which names every value the trial drew
+        draws.append(hashlib.sha256(_dump(detail).encode()).hexdigest()[:16])
         if ok:
             passed += 1
         elif len(failures) < 3:
@@ -232,6 +235,7 @@ def run_verify_suite(model: FullTwoTorsionModel, suite: str, trials: int, seed: 
         "passed": passed,
         "seed": seed,
         "failures": failures,
+        "draws": draws,
     }
 
 
@@ -291,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--out", default="scan-out")
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--timing", action="store_true")
 
     p = sub.add_parser("verify", help="run a seeded random invariant suite")
     p.add_argument("suite", choices=["parity", "duality", "isotropy", "ramhv", "babo"])

@@ -6,7 +6,6 @@ full descent before returning; a witness that fails raises SoundnessAlarm.
 
 from __future__ import annotations
 
-import time
 from functools import cache
 from itertools import count, islice
 from math import isqrt, prod
@@ -26,7 +25,7 @@ class TwistRecord(NamedTuple):
     parity_lhs: int
     parity_rhs: int
     sigma_prime_size: int
-    ms: int
+    ms: int  # 0 in every schema-1 record
 
     @property
     def parity_ok(self) -> bool:
@@ -116,22 +115,21 @@ def squarefree_twists(bound: int) -> Iterator[int]:
             yield -a
 
 
-def scan_records(
-    model: FullTwoTorsionModel, bound: int, timing: bool = False, skip: int = 0
-) -> Iterator[TwistRecord]:
+def scan_records(model: FullTwoTorsionModel, bound: int, skip: int = 0) -> Iterator[TwistRecord]:
     """One record per twist of squarefree_twists(bound) past its first skip; a resumed
     scan passes the count of twists it has finished."""
     for d in islice(squarefree_twists(bound), skip, None):
-        t0 = time.monotonic()
-        rec = parity_check(model, d)
-        yield rec._replace(ms=int((time.monotonic() - t0) * 1000)) if timing else rec
+        yield parity_check(model, d)
 
 
 def summarize(model: FullTwoTorsionModel, bound: int, records: Iterable[TwistRecord]) -> dict:
-    """The scan summary document, read in one pass over the records."""
+    """The scan summary document, read in one pass over the records.  A rank below 2
+    raises SoundnessAlarm: Sel2(E^d) contains delta(E^d(Q)[2]), of dimension 2."""
     hist: dict[int, int] = {}
     failures = 0
     for rec in records:
+        if rec.rank < 2:
+            raise SoundnessAlarm(f"d={rec.d} has 2-Selmer rank {rec.rank} < 2")
         hist[rec.rank] = hist.get(rec.rank, 0) + 1
         if not rec.parity_ok:
             failures += 1

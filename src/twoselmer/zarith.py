@@ -16,11 +16,9 @@ from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceeded
 
-# The primes up to 41: trial divisors of is_prime, and the
-# Miller–Rabin bases.  psi_k, the smallest strong pseudoprime to the first k
-# bases (OEIS A014233; Jaeschke 1993, Sorenson-Webster 2017), bounds the n
-# that k bases decide; _MR_BOUND is psi_13.
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The Miller–Rabin bases are the first 13 trial primes, 2 to 41.  psi_k, the smallest
+# strong pseudoprime to the first k bases (OEIS A014233; Jaeschke 1993, Sorenson-Webster
+# 2017), bounds the n that k bases decide; _MR_BOUND is psi_13.
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 _PSI = (
     2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
@@ -28,7 +26,8 @@ _PSI = (
     3_825_123_056_546_413_051, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
     _MR_BOUND,
 )
-# factorize's trial primes, the primes below 1000 (sieved), as a tuple, a set and a product
+# the trial primes, the primes below 1000 (sieved), as a tuple, a set and a product: one gcd
+# with the product finds the trial factors of any n, and decides is_prime below 1009^2
 _SIEVE = bytearray([0, 0]) + bytearray([1]) * 998
 for _p in range(2, 32):
     _SIEVE[_p * _p::_p] = bytes(len(range(_p * _p, 1000, _p)))
@@ -45,17 +44,16 @@ def is_prime(n: int) -> bool:
     BudgetExceeded."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    if n < 43 * 43:  # a composite this small has a prime factor up to 41
+    if gcd(n, _TRIAL_PRODUCT) > 1:
+        return n in _TRIAL_SET
+    if n < 1009 * 1009:  # a composite free of the trial primes is at least 1009^2
         return True
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a, psi in zip(_SMALL_PRIMES, _PSI):
+    for a, psi in zip(_TRIAL_PRIMES, _PSI):
         x = pow(a, d, n)
         if x != 1 and x != n - 1:
             for _ in range(s - 1):
@@ -121,13 +119,12 @@ def factorize(n: int) -> FactoredInteger:
         while m % p == 0:
             m //= p
             factors[p] += 1
-    # m is free of the trial primes: prime below 1009^2 (1009 is the next prime), else
-    # Miller-Rabin decides and rho splits it properly
+    # m is free of the trial primes: is_prime decides, and rho splits a composite properly
     budget = [DEFAULT_RHO_BUDGET]
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
-        if m < 1009 * 1009 or is_prime(m):
+        if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
         f = _pollard_rho(m, budget)

@@ -456,28 +456,48 @@ def test_scan_crash_keeps_flushed_lines(tmp_path, capsys, monkeypatch):
         assert (out / name).read_bytes() == (full / name).read_bytes(), name
 
 
-def test_scan_timing_writes_each_twists_ms(tmp_path, capsys, monkeypatch):
+def test_scan_timing_is_a_usage_error(tmp_path, capsys):
+    # scan.json names every argument that shapes a record, so a resume cannot mix records
+    assert main(["scan", "--curve=-1,0,1", "--bound=5", f"--out={tmp_path}", "--timing"]) == 1
+    assert "unrecognized arguments: --timing" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_scan_rank_below_two_is_a_soundness_alarm(tmp_path, capsys, monkeypatch):
+    # Sel2(E^d) holds the image of E^d(Q)[2], of dimension 2; parity is kept
     import twoselmer.twist_lab
 
-    class Clock:
-        """Steps 1/128 s per call, so each twist reads int(1000 / 128) = 7 ms."""
+    def lowered(*args, **kwargs):
+        for rec in twoselmer.twist_lab.scan_records(*args, **kwargs):
+            yield rec._replace(rank=rec.rank - 2) if rec.d == 5 else rec
 
-        t = 0.0
+    monkeypatch.setattr(cli, "scan_records", lowered)
+    assert main(["scan", "--curve=-1,0,1", "--bound=20", f"--out={tmp_path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "soundness alarm: d=5 has 2-Selmer rank 1 < 2\n"
+    assert captured.out == ""
+    assert not (tmp_path / "summary.json").exists()
 
-        def monotonic(self):
-            self.t += 1 / 128
-            return self.t
 
-    plain, timed = tmp_path / "plain", tmp_path / "timed"
-    assert main(["scan", "--curve=0,1,5", "--bound=30", f"--out={plain}"]) == 0
-    monkeypatch.setattr(twoselmer.twist_lab, "time", Clock())
-    assert main(["scan", "--curve=0,1,5", "--bound=30", f"--out={timed}", "--timing"]) == 0
+def test_scan_resume_alarms_on_a_kept_rank_below_two(tmp_path, capsys, monkeypatch):
+    import twoselmer.twist_lab
+
+    argv = ["scan", "--curve=-1,0,1", "--bound=20", f"--out={tmp_path}"]
+    assert main(argv) == 0
     capsys.readouterr()
-    untimed = [json.loads(ln) for ln in (plain / "records.jsonl").read_text().splitlines()]
-    records = [json.loads(ln) for ln in (timed / "records.jsonl").read_text().splitlines()]
-    assert [r["ms"] for r in records] == [7] * len(untimed)
-    assert [{**r, "ms": 0} for r in records] == untimed
-    assert (timed / "summary.json").read_bytes() == (plain / "summary.json").read_bytes()
+    lines = (tmp_path / "records.jsonl").read_text().splitlines(keepends=True)
+    doc = json.loads(lines[6])
+    assert (doc["d"], doc["rank"]) == (5, 3)
+    lines[6] = lines[6].replace('"rank":3', '"rank":1')
+    (tmp_path / "records.jsonl").write_text("".join(lines[:8]))
+    (tmp_path / "summary.json").unlink()
+
+    calls = []
+    monkeypatch.setattr(twoselmer.twist_lab, "parity_check", lambda model, d: calls.append(d))
+    assert main([*argv, "--resume"]) == 2
+    assert capsys.readouterr().err == "soundness alarm: d=5 has 2-Selmer rank 1 < 2\n"
+    assert calls == []
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_scan_bound_zero_usage_error(tmp_path, capsys):

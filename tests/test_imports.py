@@ -49,11 +49,11 @@ def test_no_unused_imports():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-def imports_fractions(source: str) -> bool:
+def imports(source: str, module: str) -> bool:
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
+        if isinstance(node, ast.Import) and any(a.name == module for a in node.names):
             return True
-        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+        if isinstance(node, ast.ImportFrom) and node.module == module:
             return True
     return False
 
@@ -61,8 +61,14 @@ def imports_fractions(source: str) -> bool:
 def test_fractions_only_in_input_parsers():
     # the class of a/b is the class of ab: below the curve parser and --mask
     # every square class is read from an integer
-    found = [p.name for p in sorted(SRC.glob("*.py")) if imports_fractions(p.read_text())]
+    found = [p.name for p in sorted(SRC.glob("*.py")) if imports(p.read_text(), "fractions")]
     assert found == ["cli.py", "curve.py"]
+
+
+def test_the_engine_reads_no_clock():
+    # deterministic outputs hold no wall-clock time; timing belongs on stderr
+    assert imports("import time\n", "time") and imports("from time import monotonic\n", "time")
+    assert [p.name for p in sorted(SRC.glob("*.py")) if imports(p.read_text(), "time")] == []
 
 
 # public definitions that the package does not call, each with the reason it stays

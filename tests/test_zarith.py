@@ -156,9 +156,24 @@ def test_factorize_past_the_small_primes():
     assert all(is_prime(p) for p in (1009, 999983, 1000003, 1000033, 1000037))
 
 
+def test_is_prime_across_the_trial_table_edge():
+    # the gcd with the primes below 1000 decides every n below 1009^2, Miller-Rabin the rest;
+    # the reference strikes the multiples of every divisor up to sqrt(hi), trial division
+    # turned into a window sieve
+    lo, hi = 1009**2 - 3000, 1009**2 + 3000
+    composite = set()
+    for k in range(2, isqrt(hi) + 1):
+        composite.update(range(max(k * k, -(-lo // k) * k), hi + 1, k))
+    window = range(lo, hi + 1)
+    assert [n for n in window if is_prime(n)] == [n for n in window if n not in composite]
+    for n in (997 * 1009, 1009**2, 1009 * 1013, 1013 * 1019):
+        f = factorize(n)
+        assert not is_prime(n) and (f.sign, f.factors) == trial_division(n), n
+
+
 def test_factorize_across_the_trial_table_edge():
-    # 997 is the last table prime and 1009 the first prime past it: a cofactor
-    # below 1009^2 is prime unchecked, 1009^2 itself and larger ones are not
+    # 997 is the last table prime and 1009 the first prime past it: is_prime calls a
+    # cofactor below 1009^2 prime by the table alone, 1009^2 itself and larger ones not
     cases = [
         (997, ((997, 1),)),
         (1009, ((1009, 1),)),

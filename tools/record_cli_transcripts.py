@@ -7,9 +7,8 @@ checkout's ``src``, in an empty temporary directory that holds only the
 entry's input files.  The file stores the argv, the input files, the exit
 code, stdout, stderr and every file the directory holds afterwards, all as
 text, so a failing replay (``tests/test_cli_transcripts.py``) shows the
-bytes that changed.  ``--timing`` stays out: its records hold wall-clock
-times.  argparse's usage texts stay out too: they vary between Python
-versions, and ``tests/test_cli.py`` compares them with the live parser.
+bytes that changed.  argparse's usage texts stay out: they vary between
+Python versions, and ``tests/test_cli.py`` compares them with the live parser.
 
 Re-recording is a test-data change: record from the commit whose outputs the
 corpus pins, and name the entries that moved and why.
